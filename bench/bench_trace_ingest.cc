@@ -59,7 +59,6 @@ measure(const std::string &name, uint64_t records, uint64_t file_bytes,
     row.name = name;
     row.fileBytes = file_bytes;
     for (int pass = 0; pass < 4; ++pass) {    // pass 0 warms the cache
-        trace::clearTraceQuarantine();
         auto src = open();
         fatal_if(!src, "%s: cannot open container", name.c_str());
         const double t0 = now();

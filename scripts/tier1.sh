@@ -42,43 +42,6 @@ else
         --out "$BUILD/BENCH_hotpath.json"
 fi
 
-echo "== tier-1: locking-discipline grep (sync::Mutex only) =="
-# DESIGN.md "Locking discipline": every mutex/condvar in src/ and
-# tools/ must be a util/sync.hh wrapper so it carries thread-safety
-# annotations and participates in the ranked lock-hierarchy checker.
-# Raw std primitives are allowed only inside the wrapper itself (and
-# in tests/, which may build ad-hoc latches for orchestration).
-RAW_SYNC="$(grep -rn \
-    'std::mutex\|std::condition_variable\|std::shared_mutex\|std::lock_guard\|std::unique_lock\|std::scoped_lock\|std::shared_lock' \
-    src tools --include='*.cc' --include='*.hh' \
-    | grep -v '^src/util/sync\.hh:' || true)"
-if [ -n "$RAW_SYNC" ]; then
-    echo "error: raw std synchronization primitive outside util/sync.hh" >&2
-    echo "       (use sync::Mutex / sync::CondVar / sync::SharedMutex;" >&2
-    echo "        see DESIGN.md 'Locking discipline'):" >&2
-    echo "$RAW_SYNC" >&2
-    exit 1
-fi
-
-echo "== tier-1: Clang -Wthread-safety build =="
-if [ "${REPLAY_SKIP_TSA:-0}" = "1" ]; then
-    echo "warn: REPLAY_SKIP_TSA=1; skipping the thread-safety-analysis build"
-elif command -v clang++ >/dev/null 2>&1; then
-    # Full build under Clang with -Wthread-safety promoted to an error
-    # (ENABLE_WERROR=ON covers it): proves every GUARDED_BY /
-    # REQUIRES / EXCLUDES annotation in the tree is consistent.  GCC
-    # compiles the same attributes to no-ops, so only this stage
-    # enforces them.
-    TSA_BUILD="${BUILD}-tsa"
-    cmake -B "$TSA_BUILD" -S . -DCMAKE_BUILD_TYPE=Release \
-        -DENABLE_WERROR=ON \
-        -DCMAKE_C_COMPILER=clang -DCMAKE_CXX_COMPILER=clang++
-    cmake --build "$TSA_BUILD" -j "$JOBS"
-else
-    echo "warn: clang++ unavailable on this host; skipping the" \
-         "thread-safety-analysis build (set REPLAY_SKIP_TSA=1 to silence)"
-fi
-
 echo "== tier-1: clang-tidy over src/verify/static + changed files =="
 if command -v clang-tidy >/dev/null 2>&1; then
     # Lint the static-verifier subsystem plus whatever C++ files the
@@ -119,24 +82,6 @@ else
     ctest --test-dir "$ASAN_BUILD" --output-on-failure -L tracev3
 fi
 
-echo "== tier-1: chaos-smoke under ASan+UBSan (${ASAN_BUILD}) =="
-if [ "${REPLAY_SKIP_CHAOS:-0}" = "1" ]; then
-    echo "warn: REPLAY_SKIP_CHAOS=1; skipping the chaos/soak stage"
-else
-    # Robustness suite (governor, degradation ladder, cancellation,
-    # watchdog) plus a small chaosrunner campaign, both under
-    # ASan+UBSan so injected faults cannot hide memory errors.  The
-    # Debug build also arms the ranked lock-hierarchy checker
-    # (REPLAY_SYNC_HIERARCHY), so any out-of-order acquisition on the
-    # engine/cache/tier/governor paths panics here instead of
-    # deadlocking in production.  Skip with REPLAY_SKIP_CHAOS=1 (e.g.
-    # on machines too slow for the stall/deadline timing tests).
-    cmake --build "$ASAN_BUILD" -j "$JOBS" \
-        --target test_robustness chaosrunner
-    ctest --test-dir "$ASAN_BUILD" --output-on-failure -L chaos-smoke
-    "$ASAN_BUILD/tools/chaosrunner" --seeds 6 --insts 8000
-fi
-
 echo "== tier-1: sweep tests under TSan, 4 workers (${TSAN_BUILD}) =="
 if echo 'int main(){return 0;}' | \
    c++ -fsanitize=thread -x c++ - -o /tmp/tier1-tsan-probe 2>/dev/null \
@@ -146,13 +91,6 @@ if echo 'int main(){return 0;}' | \
     cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_sweep
     REPLAY_SIM_JOBS=4 ctest --test-dir "$TSAN_BUILD" \
         --output-on-failure -L sweep
-
-    echo "== tier-1: sync primitives under TSan (${TSAN_BUILD}) =="
-    # util/sync.hh wrapper battery: the mutex/condvar/shared-mutex
-    # stress hammer plus the lock-hierarchy checker's panic paths
-    # (RelWithDebInfo arms REPLAY_SYNC_HIERARCHY).
-    cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_sync
-    ctest --test-dir "$TSAN_BUILD" --output-on-failure -L sync
 
     echo "== tier-1: tier-stress under TSan (${TSAN_BUILD}) =="
     if [ "${REPLAY_SKIP_TIER:-0}" = "1" ]; then

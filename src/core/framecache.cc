@@ -8,45 +8,8 @@ FrameCache::FrameCache(unsigned capacity_uops) : capacity_(capacity_uops)
 {
 }
 
-void
-FrameCache::setGovernor(ResourceGovernor *governor)
-{
-    sync::RoleGuard hold(role_);
-    governor_ = governor;
-    if (governor_) {
-        governorId_ = governor_->registerConsumer("fcache");
-        syncGovernorLocked();
-    }
-}
-
-size_t
-FrameCache::memoryBytes() const
-{
-    sync::RoleGuard hold(role_);
-    return memoryBytesLocked();
-}
-
-size_t
-FrameCache::memoryBytesLocked() const
-{
-    // Deterministic O(1) model of the cache's live footprint: the
-    // micro-op bodies dominate; each resident frame also carries its
-    // fixed header plus path metadata (one PC per covered x86
-    // instruction, conservatively folded into a per-frame constant),
-    // and the open-addressing index holds full capacity live.
-    return size_t(occupied_) * sizeof(opt::FrameUop) +
-           frames_.size() * PER_FRAME_OVERHEAD + frames_.memoryBytes();
-}
-
 unsigned
 FrameCache::recountUops() const
-{
-    sync::RoleGuard hold(role_);
-    return recountUopsLocked();
-}
-
-unsigned
-FrameCache::recountUopsLocked() const
 {
     unsigned total = 0;
     frames_.forEach([&](uint32_t, const Entry &entry) {
@@ -55,38 +18,16 @@ FrameCache::recountUopsLocked() const
     return total;
 }
 
-size_t
-FrameCache::auditBytes() const
-{
-    sync::RoleGuard hold(role_);
-    // memoryBytes() rebuilt from a walk over the resident frames
-    // instead of the incrementally-maintained occupied_ counter; any
-    // divergence between the two is a bookkeeping leak.
-    return size_t(recountUopsLocked()) * sizeof(opt::FrameUop) +
-           frames_.size() * PER_FRAME_OVERHEAD + frames_.memoryBytes();
-}
-
-void
-FrameCache::syncGovernorLocked()
-{
-    if (governor_)
-        governor_->update(governorId_, memoryBytesLocked());
-}
-
 bool
-FrameCache::evictLruLocked(const char *counter)
+FrameCache::evictLru()
 {
     // Touch ticks are unique, so the strict minimum is exactly the
     // back of an LRU list.  The pinned entry (the frame currently
-    // being sequenced) is never a victim.  Pinned state is copied to
-    // locals so the scan closure touches no role-guarded fields
-    // (closures cannot carry REQUIRES annotations).
-    const bool pinned_valid = pinnedValid_;
-    const uint32_t pinned_pc = pinnedPc_;
+    // being sequenced) is never a victim.
     uint32_t victim_pc = 0;
     uint64_t victim_tick = UINT64_MAX;
     frames_.forEach([&](uint32_t pc, const Entry &entry) {
-        if (pinned_valid && pc == pinned_pc)
+        if (isPinned(pc))
             return;
         if (entry.lastUsed < victim_tick) {
             victim_tick = entry.lastUsed;
@@ -98,60 +39,24 @@ FrameCache::evictLruLocked(const char *counter)
     Entry *victim = frames_.find(victim_pc);
     occupied_ -= victim->frame->numUops();
     frames_.erase(victim_pc);
-    ++stats_.counter(counter);
-    syncGovernorLocked();
+    ++stats_.counter("evictions");
     if (onEvict_)
         onEvict_(victim_pc);
     return true;
 }
 
-bool
-FrameCache::shedLru()
-{
-    sync::RoleGuard hold(role_);
-    return evictLruLocked("pressure_sheds");
-}
-
-unsigned
-FrameCache::shedToUops(unsigned target_uops)
-{
-    sync::RoleGuard hold(role_);
-    unsigned shed = 0;
-    while (occupied_ > target_uops &&
-           evictLruLocked("pressure_sheds")) {
-        ++shed;
-    }
-    return shed;
-}
-
-void
-FrameCache::pin(uint32_t pc)
-{
-    sync::RoleGuard hold(role_);
-    pinnedValid_ = true;
-    pinnedPc_ = pc;
-}
-
-void
-FrameCache::unpin()
-{
-    sync::RoleGuard hold(role_);
-    pinnedValid_ = false;
-}
-
 void
 FrameCache::insert(FramePtr frame)
 {
-    sync::RoleGuard hold(role_);
     const unsigned size = frame->numUops();
     if (size > capacity_) {
         ++stats_.counter("rejected");
         return;
     }
     const uint32_t pc = frame->startPc;
-    invalidateLocked(pc);
+    invalidate(pc);
     while (occupied_ + size > capacity_) {
-        if (!evictLruLocked("evictions")) {
+        if (!evictLru()) {
             // Only the pinned frame is left and the newcomer still
             // does not fit: reject it rather than evict the frame
             // being sequenced.
@@ -164,13 +69,11 @@ FrameCache::insert(FramePtr frame)
     entry.lastUsed = ++tick_;
     occupied_ += size;
     ++stats_.counter("inserts");
-    syncGovernorLocked();
 }
 
 FramePtr
 FrameCache::lookup(uint32_t pc)
 {
-    sync::RoleGuard hold(role_);
     Entry *entry = frames_.find(pc);
     if (!entry) {
         ++misses_;
@@ -184,7 +87,6 @@ FrameCache::lookup(uint32_t pc)
 FramePtr
 FrameCache::probe(uint32_t pc) const
 {
-    sync::RoleGuard hold(role_);
     const Entry *entry = frames_.find(pc);
     return entry ? entry->frame : nullptr;
 }
@@ -192,20 +94,12 @@ FrameCache::probe(uint32_t pc) const
 void
 FrameCache::invalidate(uint32_t pc)
 {
-    sync::RoleGuard hold(role_);
-    invalidateLocked(pc);
-}
-
-void
-FrameCache::invalidateLocked(uint32_t pc)
-{
     Entry *entry = frames_.find(pc);
     if (!entry)
         return;
     occupied_ -= entry->frame->numUops();
     frames_.erase(pc);
     ++stats_.counter("invalidations");
-    syncGovernorLocked();
     if (onEvict_)
         onEvict_(pc);
 }
@@ -213,17 +107,9 @@ FrameCache::invalidateLocked(uint32_t pc)
 bool
 FrameCache::publish(uint32_t pc, FramePtr next)
 {
-    sync::RoleGuard hold(role_);
-    return publishLocked(pc, std::move(next));
-}
-
-bool
-FrameCache::publishLocked(uint32_t pc, FramePtr next)
-{
     Entry *entry = frames_.find(pc);
     panic_if(!entry, "publish to a non-resident start pc %#x", pc);
-    panic_if(isPinnedLocked(pc),
-             "publish to the pinned (in-flight) entry");
+    panic_if(isPinned(pc), "publish to the pinned (in-flight) entry");
     const unsigned old_size = entry->frame->numUops();
     const unsigned new_size = next->numUops();
     if (new_size > old_size &&
@@ -235,13 +121,11 @@ FrameCache::publishLocked(uint32_t pc, FramePtr next)
     // Republication is the one path where a resident body's size
     // changes underneath the occupancy model, so rebuild the counter
     // from the table instead of trusting an increment — publishes are
-    // orders of magnitude rarer than lookups, and a drifted model
-    // would silently skew governor pressure for the rest of the run.
-    occupied_ = recountUopsLocked();
+    // orders of magnitude rarer than lookups.
+    occupied_ = recountUops();
     // lastUsed is deliberately untouched: publication replaces the
     // body in place and must not perturb LRU victim selection.
     ++stats_.counter("publishes");
-    syncGovernorLocked();
     return true;
 }
 

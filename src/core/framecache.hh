@@ -15,27 +15,15 @@
  * rarer than lookups and the table is small (<= capacity/minUops
  * frames).
  *
- * Resource governance: when a ResourceGovernor is attached the cache
- * reports its live footprint (frame bodies + index) on every
- * occupancy change, and exposes shedLru()/shedToUops() so the engine
- * can evict down to budget under memory pressure.  One frame may be
- * *pinned* — the frame the fetch engine is currently sequencing —
- * and neither shedding nor ordinary capacity eviction will victimize
- * it (the shared_ptr keeps the object alive regardless; pinning keeps
- * the cache *entry*, so an in-flight frame cannot be re-requested as
- * a candidate and rebuilt while it executes).
+ * One frame may be *pinned* — the frame the fetch engine is currently
+ * sequencing — and capacity eviction never victimizes it (the
+ * shared_ptr keeps the object alive regardless; pinning keeps the
+ * cache *entry*, so an in-flight frame cannot be re-requested as a
+ * candidate and rebuilt while it executes, and the tier engine defers
+ * republication onto it).
  *
- * Locking discipline: the cache is single-owner (the sequencer
- * thread), not mutex-protected — a lock on the per-instruction lookup
- * path would be pure overhead.  The ownership claim is stated as a
- * sync::Role capability: every public method takes the role, all
- * internal state is GUARDED_BY it, and the real work happens in
- * private *Locked methods marked REQUIRES — so public methods can
- * compose them without re-entering the role (re-entry panics in
- * checked builds, as does any cross-thread overlap).  The eviction
- * listener fires with the cache role held; it may acquire
- * higher-ranked capabilities only (the tier queue at rank BGQUEUE
- * qualifies — see util/sync.hh for the registered hierarchy).
+ * The cache is single-owner (the sequencer thread) and takes no lock:
+ * a lock on the per-instruction lookup path would be pure overhead.
  */
 
 #ifndef REPLAY_CORE_FRAMECACHE_HH
@@ -46,9 +34,7 @@
 
 #include "core/frame.hh"
 #include "util/flathash.hh"
-#include "util/governor.hh"
 #include "util/stats.hh"
-#include "util/sync.hh"
 
 namespace replay::core {
 
@@ -82,7 +68,7 @@ class FrameCache
      * not be pinned — the caller defers publication while the
      * sequencer holds the frame.  Returns false (entry unchanged) if
      * the replacement would overflow capacity; re-optimized bodies
-     * only shrink, so this is a chaos-only edge.
+     * normally only shrink, so this is a rare edge.
      */
     bool publish(uint32_t pc, FramePtr next);
 
@@ -90,98 +76,46 @@ class FrameCache
     bool
     isPinned(uint32_t pc) const
     {
-        sync::RoleGuard hold(role_);
-        return isPinnedLocked(pc);
+        return pinnedValid_ && pinnedPc_ == pc;
     }
 
     /**
      * Called with the start PC of every frame that leaves the cache
-     * (capacity eviction, pressure shed, or invalidation) — the tier
-     * engine cancels pending re-optimization work for departed frames
-     * so shed frames cannot leak stale background work.  The listener
-     * runs with the cache role held.
+     * (capacity eviction or invalidation) — the tier engine cancels
+     * pending re-optimization work for departed frames so evicted
+     * frames cannot leak stale background work.
      */
     void
     setEvictionListener(std::function<void(uint32_t)> listener)
     {
-        sync::RoleGuard hold(role_);
         onEvict_ = std::move(listener);
     }
 
     /**
      * Pin the entry at @p pc (the frame being sequenced): it cannot be
-     * shed or evicted until unpin().  At most one entry is pinned.
+     * evicted until unpin().  At most one entry is pinned.
      */
-    void pin(uint32_t pc);
-    void unpin();
+    void
+    pin(uint32_t pc)
+    {
+        pinnedValid_ = true;
+        pinnedPc_ = pc;
+    }
 
-    /** Evict the unpinned LRU frame; false if none is evictable. */
-    bool shedLru();
-
-    /**
-     * Evict unpinned LRU frames until occupancy <= @p target_uops.
-     * Returns the number of frames shed.  The pinned frame is never a
-     * victim, so the post-condition is occupancy <= max(target, pinned
-     * frame size).
-     */
-    unsigned shedToUops(unsigned target_uops);
-
-    /** Attach a governor; the cache reports footprint changes to it. */
-    void setGovernor(ResourceGovernor *governor);
-
-    /** Live footprint: frame bodies, path metadata, and the index. */
-    size_t memoryBytes() const;
+    void unpin() { pinnedValid_ = false; }
 
     /** Occupancy recounted by walking the table (audit path). */
     unsigned recountUops() const;
 
-    /**
-     * memoryBytes() recomputed from a direct recount rather than the
-     * incremental occupied_ model; tests assert the two agree after
-     * insert/publish/evict churn.
-     */
-    size_t auditBytes() const;
-
-    unsigned
-    occupiedUops() const
-    {
-        sync::RoleGuard hold(role_);
-        return occupied_;
-    }
-
+    unsigned occupiedUops() const { return occupied_; }
     unsigned capacityUops() const { return capacity_; }
-
-    size_t
-    numFrames() const
-    {
-        sync::RoleGuard hold(role_);
-        return frames_.size();
-    }
+    size_t numFrames() const { return frames_.size(); }
 
     StatGroup &stats() { return stats_; }
 
   private:
-    /**
-     * Fixed per-frame charge in the byte model: the frame header plus
-     * path metadata, conservatively folded into one constant so the
-     * model stays O(1) and deterministic.
-     */
-    static constexpr size_t PER_FRAME_OVERHEAD = sizeof(Frame) + 256;
-
-    bool
-    isPinnedLocked(uint32_t pc) const REQUIRES(role_)
-    {
-        return pinnedValid_ && pinnedPc_ == pc;
-    }
-
-    void invalidateLocked(uint32_t pc) REQUIRES(role_);
-    bool publishLocked(uint32_t pc, FramePtr next) REQUIRES(role_);
-    size_t memoryBytesLocked() const REQUIRES(role_);
-    unsigned recountUopsLocked() const REQUIRES(role_);
-
     /** Evict the unpinned LRU entry; false if nothing is evictable. */
-    bool evictLruLocked(const char *counter) REQUIRES(role_);
-    void syncGovernorLocked() REQUIRES(role_);
+    bool evictLru();
 
     struct Entry
     {
@@ -189,21 +123,13 @@ class FrameCache
         uint64_t lastUsed = 0;  ///< unique touch tick (monotonic)
     };
 
-    /**
-     * Single-owner capability: the sequencer thread.  Guards all
-     * mutable state below; zero-cost in Release (see util/sync.hh).
-     */
-    mutable sync::Role role_{"framecache", sync::rank::FRAMECACHE};
-
     unsigned capacity_;
-    unsigned occupied_ GUARDED_BY(role_) = 0;
-    uint64_t tick_ GUARDED_BY(role_) = 0;
-    FlatMap<uint32_t, Entry> frames_ GUARDED_BY(role_);
-    bool pinnedValid_ GUARDED_BY(role_) = false;
-    uint32_t pinnedPc_ GUARDED_BY(role_) = 0;
-    ResourceGovernor *governor_ GUARDED_BY(role_) = nullptr;
-    unsigned governorId_ GUARDED_BY(role_) = 0;
-    std::function<void(uint32_t)> onEvict_ GUARDED_BY(role_);
+    unsigned occupied_ = 0;
+    uint64_t tick_ = 0;
+    FlatMap<uint32_t, Entry> frames_;
+    bool pinnedValid_ = false;
+    uint32_t pinnedPc_ = 0;
+    std::function<void(uint32_t)> onEvict_;
     StatGroup stats_{"fcache"};
     Counter &hits_{stats_.counter("hits")};
     Counter &misses_{stats_.counter("misses")};

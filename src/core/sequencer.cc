@@ -13,64 +13,44 @@ RePlayEngine::RePlayEngine(EngineConfig cfg)
       optPipe_(cfg.optPipelineDepth, cfg.optCyclesPerUop),
       cache_(cfg.fcacheCapacityUops), quarantine_(cfg.quarantine)
 {
-    if (cfg_.governor) {
-        cache_.setGovernor(cfg_.governor);
-        govPoolId_ = cfg_.governor->registerConsumer("frame_pool");
-        govQuarantineId_ = cfg_.governor->registerConsumer("quarantine");
-    }
     if (cfg_.optimize && cfg_.tier.workers > 0) {
         tier_ = std::make_unique<TierEngine>(cfg_.tier, cfg_.optConfig);
         // Stale-work leak fix: a frame leaving the cache (capacity
-        // eviction, pressure shed, bias eviction, quarantine) takes
-        // its pending re-optimization job with it.  The closure runs
-        // under the cache role and touches only tier_ and a counter —
-        // both deliberately unguarded (closures cannot carry REQUIRES;
-        // see the file comment in sequencer.hh).
+        // eviction, bias eviction, quarantine) takes its pending
+        // re-optimization job with it.
         cache_.setEvictionListener([this](uint32_t pc) {
             tierCancelled_ += tier_->cancelPending(pc);
         });
-        if (cfg_.governor)
-            govTierId_ = cfg_.governor->registerConsumer("tier_queue");
     }
 }
 
 void
-RePlayEngine::syncGovernorLocked()
+RePlayEngine::sealBody(Frame &frame)
 {
-    if (!cfg_.governor)
-        return;
-    cfg_.governor->update(govPoolId_, framePool_.arenaFootprintBytes());
-    cfg_.governor->update(govQuarantineId_, quarantine_.memoryBytes());
-    if (tier_)
-        cfg_.governor->update(govTierId_, tier_->memoryBytes());
-}
-
-void
-RePlayEngine::relievePressureLocked()
-{
-    if (!cfg_.governor)
-        return;
-    // Background re-optimization work sheds first: it is strictly
-    // optional (the cheap bodies it would replace keep running) and
-    // dropping it frees memory without giving up any cached frame.
-    if (tier_ && cfg_.governor->pressure() >= Pressure::SOFT) {
-        const unsigned dropped = tier_->shedPending();
-        if (dropped) {
-            tierShed_ += dropped;
-            syncGovernorLocked();
+    bool sabotaged = false;
+    uint64_t pristine = 0;
+    if (cfg_.injector) {
+        pristine = fault::FaultInjector::hashBody(frame.body);
+        if (cfg_.injector->maybeSabotagePass(frame.body)) {
+            sabotaged =
+                fault::FaultInjector::hashBody(frame.body) != pristine;
+            ++stats_.counter("fault_pass_sabotage");
         }
     }
-    // Shed LRU frames one at a time, rechecking between evictions so
-    // exactly enough is released; the frame being sequenced is pinned
-    // and never a victim.
-    while (cfg_.governor->pressure() >= Pressure::SOFT &&
-           cache_.shedLru()) {
-        ++govShedFrames_;
+    frame.bodyHash = pristine;
+    frame.faultInjected = sabotaged;
+    frame.unsafeStores.clear();
+    const opt::OptimizedFrame &body = frame.body;
+    for (size_t i = 0; i < body.size(); ++i) {
+        if (body.unsafe[i] && (body.code.attr[i] & uop::UA_KIND_STORE))
+            frame.unsafeStores.push_back(
+                {body.code.instIdx[i], body.code.memSeq[i]});
     }
+    std::sort(frame.unsafeStores.begin(), frame.unsafeStores.end());
 }
 
 void
-RePlayEngine::enqueueCandidateLocked(FrameCandidate &cand, uint64_t now)
+RePlayEngine::enqueueCandidate(FrameCandidate &cand, uint64_t now)
 {
     // Do not rebuild a frame that is already cached for this start PC
     // with the same span (common when the same cold path repeats
@@ -81,22 +61,6 @@ RePlayEngine::enqueueCandidateLocked(FrameCandidate &cand, uint64_t now)
     // from every observed early exit (a frame whose assertions keep
     // firing is instead removed by bias eviction, making room for the
     // shorter variant).
-    if (cfg_.governor) {
-        // Degradation ladder, worst rung first: under CRITICAL
-        // pressure no frame is built at all — fetch continues on the
-        // conventional path, which needs no new memory.
-        if (cfg_.governor->pressure() == Pressure::CRITICAL) {
-            ++govSuspended_;
-            return;
-        }
-        // Chaos hook: an injected allocation failure at the candidate
-        // build site is survived the same way a real one is below —
-        // the candidate is dropped and the pipeline keeps running.
-        if (cfg_.governor->allocWouldFail()) {
-            ++allocFailures_;
-            return;
-        }
-    }
     if (quarantine_.blocked(cand.startPc, now)) {
         ++stats_.counter("quarantine_candidate_drops");
         return;
@@ -128,121 +92,57 @@ RePlayEngine::enqueueCandidateLocked(FrameCandidate &cand, uint64_t now)
         ready_at = *done;
     }
 
-    // The frame build allocates (pool growth, vector copies, optimizer
-    // scratch); a real std::bad_alloc anywhere in it is survived by
-    // dropping this candidate — the sequencer keeps serving frames it
-    // already has and fetch keeps running conventionally.
-    try {
-        // A recycled frame keeps its vector capacities; everything
-        // else is reassigned below, and the optimizer overwrites body
-        // wholesale.
-        FramePtr frame = framePool_.acquire();
-        frame->id = nextFrameId_++;
-        frame->startPc = cand.startPc;
-        frame->pcs = cand.pcs;  // copy: the candidate's buffer recycles
-        frame->nextPc = cand.nextPc;
-        frame->dynamicExit = cand.dynamicExit;
-        frame->numBlocks = cand.numBlocks;
-        frame->fetches = 0;
-        frame->assertFires = 0;
-        frame->conflicts = 0;
-        frame->tier = FrameTier::FULL;
-        frame->generation = 0;
-        if (!cfg_.optimize) {
-            opt::Optimizer::passthrough(cand.uops, cand.blocks, true,
-                                        frame->body);
-        } else if (cfg_.governor &&
-                   cfg_.governor->pressure() >= Pressure::HARD) {
-            // HARD pressure: the cheap pass subset keeps deposits
-            // flowing without the full pipeline's scratch footprint;
-            // the static verifier discharges the same obligations.
-            cheapOptimizer_.optimize(cand.uops, cand.blocks, &profile_,
-                                     optStats_, frame->body);
-            ++govCheapOpts_;
-            if (tier_)
-                frame->tier = FrameTier::CHEAP;
-        } else if (tier_) {
-            // Tiered admission: the cheap subset gets the frame into
-            // the cache immediately; the background workers re-run
-            // the full budget once it proves hot.
-            cheapOptimizer_.optimize(cand.uops, cand.blocks, &profile_,
-                                     optStats_, frame->body);
-            frame->tier = FrameTier::CHEAP;
-        } else {
-            optimizer_.optimize(cand.uops, cand.blocks, &profile_,
-                                optStats_, frame->body);
-        }
-
-        bool sabotaged = false;
-        uint64_t pristine = 0;
-        if (cfg_.injector) {
-            pristine = fault::FaultInjector::hashBody(frame->body);
-            if (cfg_.injector->maybeSabotagePass(frame->body)) {
-                sabotaged =
-                    fault::FaultInjector::hashBody(frame->body) !=
-                    pristine;
-                ++stats_.counter("fault_pass_sabotage");
-            }
-        }
-        frame->bodyHash = pristine;
-        frame->faultInjected = sabotaged;
-        frame->unsafeStores.clear();
-        const opt::OptimizedFrame &body = frame->body;
-        for (size_t i = 0; i < body.size(); ++i) {
-            if (body.unsafe[i] &&
-                (body.code.attr[i] & uop::UA_KIND_STORE)) {
-                frame->unsafeStores.push_back(
-                    {body.code.instIdx[i], body.code.memSeq[i]});
-            }
-        }
-        std::sort(frame->unsafeStores.begin(),
-                  frame->unsafeStores.end());
-
-        pending_.push_back({ready_at, std::move(frame)});
-        ++candidates_;
-    } catch (const std::bad_alloc &) {
-        ++allocFailures_;
-        return;
+    // A recycled frame keeps its vector capacities; everything else is
+    // reassigned below, and the optimizer overwrites body wholesale.
+    FramePtr frame = framePool_.acquire();
+    frame->id = nextFrameId_++;
+    frame->startPc = cand.startPc;
+    frame->pcs = cand.pcs;  // copy: the candidate's buffer recycles
+    frame->nextPc = cand.nextPc;
+    frame->dynamicExit = cand.dynamicExit;
+    frame->numBlocks = cand.numBlocks;
+    frame->fetches = 0;
+    frame->assertFires = 0;
+    frame->conflicts = 0;
+    frame->tier = FrameTier::FULL;
+    frame->generation = 0;
+    if (!cfg_.optimize) {
+        opt::Optimizer::passthrough(cand.uops, cand.blocks, true,
+                                    frame->body);
+    } else if (tier_) {
+        // Tiered admission: the cheap subset gets the frame into the
+        // cache immediately; the background workers re-run the full
+        // budget once it proves hot.
+        cheapOptimizer_.optimize(cand.uops, cand.blocks, &profile_,
+                                 optStats_, frame->body);
+        frame->tier = FrameTier::CHEAP;
+    } else {
+        optimizer_.optimize(cand.uops, cand.blocks, &profile_,
+                            optStats_, frame->body);
     }
-    syncGovernorLocked();
+
+    sealBody(*frame);
+    pending_.push_back({ready_at, std::move(frame)});
+    ++candidates_;
 }
 
 void
 RePlayEngine::drainReady(uint64_t now)
 {
-    sync::RoleGuard hold(seqRole_);
-    drainReadyLocked(now);
-}
-
-void
-RePlayEngine::drainReadyLocked(uint64_t now)
-{
-    drainTierLocked();
+    drainTier();
     while (!pending_.empty() && pending_.front().readyAt <= now) {
-        // SOFT pressure and worse: stop admitting new frames — the
-        // cache is the largest shrinkable consumer, so growing it
-        // under pressure would immediately be shed again.
-        if (cfg_.governor &&
-            cfg_.governor->pressure() >= Pressure::SOFT) {
-            ++govAdmitRejects_;
-            pending_.pop_front();
-            continue;
-        }
         cache_.insert(std::move(pending_.front().frame));
         pending_.pop_front();
     }
-    syncGovernorLocked();
-    relievePressureLocked();
 }
 
 void
 RePlayEngine::observeRetired(const trace::TraceRecord &rec, uint64_t now)
 {
-    sync::RoleGuard hold(seqRole_);
-    drainReadyLocked(now);
+    drainReady(now);
     auto candidate = constructor_.observe(rec);
     if (candidate) {
-        enqueueCandidateLocked(*candidate, now);
+        enqueueCandidate(*candidate, now);
         constructor_.recycle(std::move(*candidate));
     }
 }
@@ -250,8 +150,7 @@ RePlayEngine::observeRetired(const trace::TraceRecord &rec, uint64_t now)
 FramePtr
 RePlayEngine::frameFor(uint32_t pc, uint64_t now)
 {
-    sync::RoleGuard hold(seqRole_);
-    drainReadyLocked(now);
+    drainReady(now);
     if (quarantine_.blocked(pc, now)) {
         ++stats_.counter("quarantine_blocks");
         return nullptr;
@@ -259,10 +158,11 @@ RePlayEngine::frameFor(uint32_t pc, uint64_t now)
     FramePtr frame = cache_.lookup(pc);
     if (!frame)
         return nullptr;
-    // Pin the in-flight entry: pressure shedding between now and the
+    // Pin the in-flight entry: capacity eviction between now and the
     // frame's commit/abort must not victimize the frame being
-    // sequenced (the matching unpin is in frameCommitted /
-    // frameAborted / frameQuarantined).
+    // sequenced, nor may a re-optimized body be published onto it
+    // (the matching unpin is in frameCommitted / frameAborted /
+    // frameQuarantined).
     cache_.pin(pc);
     if (cfg_.injector && cfg_.injector->maybeFlipOnFetch(frame->body)) {
         frame->faultInjected =
@@ -276,40 +176,23 @@ RePlayEngine::frameFor(uint32_t pc, uint64_t now)
 void
 RePlayEngine::frameCommitted(const FramePtr &frame)
 {
-    sync::RoleGuard hold(seqRole_);
     cache_.unpin();
     ++frame->fetches;
     ++frameCommits_;
-    maybeScheduleReoptLocked(frame);
+    maybeScheduleReopt(frame);
 }
 
 void
-RePlayEngine::maybeScheduleReoptLocked(const FramePtr &frame)
+RePlayEngine::maybeScheduleReopt(const FramePtr &frame)
 {
     if (!tier_ || !tier_->wantsReopt(*frame))
         return;
-    if (cfg_.governor) {
-        // Under pressure the tier engine only sheds work, it never
-        // creates more; and the snapshot is an allocation site like
-        // any other for the chaos campaign.
-        if (cfg_.governor->pressure() >= Pressure::SOFT)
-            return;
-        if (cfg_.governor->allocWouldFail()) {
-            ++allocFailures_;
-            return;
-        }
-    }
-    try {
-        tier_->enqueue(*frame, profile_);
-        ++tierEnqueues_;
-    } catch (const std::bad_alloc &) {
-        ++allocFailures_;
-    }
-    syncGovernorLocked();
+    tier_->enqueue(*frame, profile_);
+    ++tierEnqueues_;
 }
 
 void
-RePlayEngine::drainTierLocked()
+RePlayEngine::drainTier()
 {
     if (!tier_)
         return;
@@ -318,7 +201,7 @@ RePlayEngine::drainTierLocked()
     // result retires its start PC from the in-flight set.
     tier_->refreshInbox();
     while (tier_->hasInboxResult()) {
-        if (publishReoptLocked(tier_->inboxFront()) ==
+        if (publishReopt(tier_->inboxFront()) ==
             TierEngine::Verdict::DEFER) {
             return;
         }
@@ -327,12 +210,8 @@ RePlayEngine::drainTierLocked()
 }
 
 TierEngine::Verdict
-RePlayEngine::publishReoptLocked(ReoptResult &res)
+RePlayEngine::publishReopt(ReoptResult &res)
 {
-    if (res.failed) {
-        ++allocFailures_;
-        return TierEngine::Verdict::CONSUMED;
-    }
     // Versioned-slot check: publish only onto the exact frame the job
     // snapshotted.  A frame that was evicted, bias-replaced, or
     // rebuilt mid-flight makes the result stale.
@@ -347,73 +226,38 @@ RePlayEngine::publishReoptLocked(ReoptResult &res)
         ++tierDeferrals_;
         return TierEngine::Verdict::DEFER;
     }
-    if (cfg_.governor && cfg_.governor->allocWouldFail()) {
-        // Injected allocation failure at the publication site: drop
-        // the result; the cheap body keeps running.
-        ++allocFailures_;
+    FramePtr frame = framePool_.acquire();
+    frame->id = nextFrameId_++;
+    frame->startPc = cur->startPc;
+    frame->pcs = cur->pcs;
+    frame->nextPc = cur->nextPc;
+    frame->dynamicExit = cur->dynamicExit;
+    frame->numBlocks = cur->numBlocks;
+    // Usage statistics carry across the swap so hotness and
+    // bias-eviction thresholds keep their history.
+    frame->fetches = cur->fetches;
+    frame->assertFires = cur->assertFires;
+    frame->conflicts = cur->conflicts;
+    frame->tier = FrameTier::FULL;
+    frame->generation = cur->generation + 1;
+    frame->body = std::move(res.body);
+    sealBody(*frame);
+
+    // Static verification gate before publication: a body the linter
+    // rejects (including sabotaged ones) never replaces the known-good
+    // cheap body.
+    if (cfg_.tierVerify && !cfg_.tierVerify(*frame)) {
+        ++tierVerifyRejects_;
         return TierEngine::Verdict::CONSUMED;
     }
-    try {
-        FramePtr frame = framePool_.acquire();
-        frame->id = nextFrameId_++;
-        frame->startPc = cur->startPc;
-        frame->pcs = cur->pcs;
-        frame->nextPc = cur->nextPc;
-        frame->dynamicExit = cur->dynamicExit;
-        frame->numBlocks = cur->numBlocks;
-        // Usage statistics carry across the swap so hotness and
-        // bias-eviction thresholds keep their history.
-        frame->fetches = cur->fetches;
-        frame->assertFires = cur->assertFires;
-        frame->conflicts = cur->conflicts;
-        frame->tier = FrameTier::FULL;
-        frame->generation = cur->generation + 1;
-        frame->body = std::move(res.body);
-
-        bool sabotaged = false;
-        uint64_t pristine = 0;
-        if (cfg_.injector) {
-            pristine = fault::FaultInjector::hashBody(frame->body);
-            if (cfg_.injector->maybeSabotagePass(frame->body)) {
-                sabotaged =
-                    fault::FaultInjector::hashBody(frame->body) !=
-                    pristine;
-                ++stats_.counter("fault_pass_sabotage");
-            }
-        }
-        frame->bodyHash = pristine;
-        frame->faultInjected = sabotaged;
-        frame->unsafeStores.clear();
-        const opt::OptimizedFrame &new_body = frame->body;
-        for (size_t i = 0; i < new_body.size(); ++i) {
-            if (new_body.unsafe[i] &&
-                (new_body.code.attr[i] & uop::UA_KIND_STORE)) {
-                frame->unsafeStores.push_back(
-                    {new_body.code.instIdx[i], new_body.code.memSeq[i]});
-            }
-        }
-        std::sort(frame->unsafeStores.begin(),
-                  frame->unsafeStores.end());
-
-        // Static verification gate before publication: a body the
-        // linter rejects (including sabotaged ones) never replaces
-        // the known-good cheap body.
-        if (cfg_.tierVerify && !cfg_.tierVerify(*frame)) {
-            ++tierVerifyRejects_;
-            return TierEngine::Verdict::CONSUMED;
-        }
-        const unsigned old_uops = cur->numUops();
-        const unsigned new_uops = frame->numUops();
-        if (cache_.publish(res.startPc, std::move(frame))) {
-            ++tierPublishes_;
-            if (new_uops < old_uops)
-                tierUopsRemoved_ += old_uops - new_uops;
-        } else {
-            ++tierStaleDrops_;
-        }
-        syncGovernorLocked();
-    } catch (const std::bad_alloc &) {
-        ++allocFailures_;
+    const unsigned old_uops = cur->numUops();
+    const unsigned new_uops = frame->numUops();
+    if (cache_.publish(res.startPc, std::move(frame))) {
+        ++tierPublishes_;
+        if (new_uops < old_uops)
+            tierUopsRemoved_ += old_uops - new_uops;
+    } else {
+        ++tierStaleDrops_;
     }
     return TierEngine::Verdict::CONSUMED;
 }
@@ -421,7 +265,6 @@ RePlayEngine::publishReoptLocked(ReoptResult &res)
 void
 RePlayEngine::quiesceTier()
 {
-    sync::RoleGuard hold(seqRole_);
     if (!tier_)
         return;
     // Pending jobs are abandoned (counted), in-flight jobs drain, and
@@ -430,7 +273,7 @@ RePlayEngine::quiesceTier()
     // forever.
     tierDroppedAtExit_ += tier_->shedPending();
     tier_->waitIdle();
-    drainTierLocked();
+    drainTier();
     tierDroppedAtExit_ += tier_->undrained();
 }
 
@@ -438,7 +281,6 @@ void
 RePlayEngine::frameAborted(const FramePtr &frame,
                            const FrameOutcome &outcome)
 {
-    sync::RoleGuard hold(seqRole_);
     cache_.unpin();
     ++frame->fetches;
     if (outcome.kind == FrameOutcome::Kind::UNSAFE_CONFLICT) {
@@ -470,12 +312,10 @@ RePlayEngine::frameAborted(const FramePtr &frame,
 void
 RePlayEngine::frameQuarantined(const FramePtr &frame, uint64_t now)
 {
-    sync::RoleGuard hold(seqRole_);
     cache_.unpin();
     cache_.invalidate(frame->startPc);
     quarantine_.add(frame->startPc, now);
     ++stats_.counter("quarantines");
-    syncGovernorLocked();
 }
 
 } // namespace replay::core

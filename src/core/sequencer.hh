@@ -5,22 +5,9 @@
  * and the frame cache together, and answers the fetch engine's
  * sequencing queries.
  *
- * Locking discipline: the engine is single-owner (one session, one
- * driving thread), stated as the `engine` sync::Role — the *root* of
- * the lock hierarchy (rank ENGINE, the minimum), because everything
- * else is acquired from under it: the frame-cache role on every
- * cache call, the tier queue mutex on enqueue/cancel/drain, the
- * governor role on every pressure query.  Public methods take the
- * role and delegate to private *Locked methods marked REQUIRES, so
- * external callers (simulator, headless driver, tests) need no
- * annotations of their own.
- *
- * Deliberately unguarded: `tier_` and the `tierCancelled_` counter,
- * which the cache eviction listener touches from inside a closure
- * (closures cannot carry REQUIRES; the listener only ever runs on the
- * owner thread, under the cache role, which the hierarchy orders
- * below every capability the callee acquires).  See DESIGN.md
- * "Locking discipline".
+ * The engine is single-owner: one driving thread calls every public
+ * method.  Only the tier engine's background workers run elsewhere,
+ * and they touch nothing here but the tier queue.
  */
 
 #ifndef REPLAY_CORE_SEQUENCER_HH
@@ -39,8 +26,6 @@
 #include "opt/datapath.hh"
 #include "opt/optimizer.hh"
 #include "util/arena.hh"
-#include "util/governor.hh"
-#include "util/sync.hh"
 
 namespace replay::fault {
 class FaultInjector;
@@ -72,17 +57,7 @@ struct EngineConfig
      */
     fault::FaultInjector *injector = nullptr;
 
-    /**
-     * Optional resource governor (owned by the simulator/session).
-     * When set, the engine reports the footprint of its cache, frame
-     * pool, and quarantine table, and degrades under pressure: SOFT
-     * sheds cached frames and rejects deposits, HARD optimizes new
-     * frames with cheapOptConfig only, CRITICAL suspends frame
-     * construction entirely.  Null = ungoverned (seed behaviour).
-     */
-    ResourceGovernor *governor = nullptr;
-
-    /** The degraded pass subset used under HARD pressure. */
+    /** The pass subset tiered admission runs (see tier). */
     opt::OptConfig cheapOptConfig = opt::OptConfig::cheap();
 
     /**
@@ -139,12 +114,7 @@ class RePlayEngine
     void frameQuarantined(const FramePtr &frame, uint64_t now);
 
     /** Pipeline flush (long-flow instruction): drop the accumulation. */
-    void
-    flush()
-    {
-        sync::RoleGuard hold(seqRole_);
-        constructor_.abandon();
-    }
+    void flush() { constructor_.abandon(); }
 
     /**
      * End-of-run tier teardown: drop pending re-opt work, wait for
@@ -164,47 +134,33 @@ class RePlayEngine
     StatGroup &stats() { return stats_; }
 
   private:
-    void drainReadyLocked(uint64_t now) REQUIRES(seqRole_);
-    void enqueueCandidateLocked(FrameCandidate &cand, uint64_t now)
-        REQUIRES(seqRole_);
+    void enqueueCandidate(FrameCandidate &cand, uint64_t now);
+
+    /**
+     * Finish a freshly optimized body: the pass-sabotage fault site,
+     * the pristine hash the online verifier compares against, and the
+     * sorted unsafe-store list.
+     */
+    void sealBody(Frame &frame);
 
     /** Queue a committed cheap-tier frame for re-opt once it is hot. */
-    void maybeScheduleReoptLocked(const FramePtr &frame)
-        REQUIRES(seqRole_);
+    void maybeScheduleReopt(const FramePtr &frame);
 
     /** Drain finished re-optimizations and publish the valid ones. */
-    void drainTierLocked() REQUIRES(seqRole_);
+    void drainTier();
 
     /** Publish (or drop) one background result; see TierEngine. */
-    TierEngine::Verdict publishReoptLocked(ReoptResult &res)
-        REQUIRES(seqRole_);
-
-    /**
-     * Governor plumbing: report the engine-owned footprints (frame
-     * pool arena, quarantine table) and, while pressure is SOFT or
-     * worse, shed LRU frames until it relieves (the pinned in-flight
-     * frame is never shed).
-     */
-    void syncGovernorLocked() REQUIRES(seqRole_);
-    void relievePressureLocked() REQUIRES(seqRole_);
-
-    /**
-     * The session-owner capability, rank ENGINE (hierarchy root): the
-     * sequencing state below is GUARDED_BY it, and every public entry
-     * point takes it, so checked builds panic the instant two threads
-     * drive one engine.  Zero-cost in Release.
-     */
-    mutable sync::Role seqRole_{"engine", sync::rank::ENGINE};
+    TierEngine::Verdict publishReopt(ReoptResult &res);
 
     EngineConfig cfg_;
-    FrameConstructor constructor_ GUARDED_BY(seqRole_);
-    opt::Optimizer optimizer_ GUARDED_BY(seqRole_);
-    opt::Optimizer cheapOptimizer_ GUARDED_BY(seqRole_);
-    opt::OptimizerPipeline optPipe_ GUARDED_BY(seqRole_);
-    FrameCache cache_;              ///< has its own role capability
-    Quarantine quarantine_ GUARDED_BY(seqRole_);
-    AliasProfile profile_ GUARDED_BY(seqRole_);
-    opt::OptStats optStats_ GUARDED_BY(seqRole_);
+    FrameConstructor constructor_;
+    opt::Optimizer optimizer_;
+    opt::Optimizer cheapOptimizer_;
+    opt::OptimizerPipeline optPipe_;
+    FrameCache cache_;
+    Quarantine quarantine_;
+    AliasProfile profile_;
+    opt::OptStats optStats_;
     StatGroup stats_{"replay"};
     // Bound once (StatGroup's map gives stable references): these fire
     // on every candidate / frame event and are too hot for a string
@@ -213,12 +169,6 @@ class RePlayEngine
     Counter &duplicateCandidates_{stats_.counter("duplicate_candidates")};
     Counter &frameCommits_{stats_.counter("frame_commits")};
     Counter &assertFires_{stats_.counter("assert_fires")};
-    // Degradation-ladder counters (all zero while ungoverned).
-    Counter &govShedFrames_{stats_.counter("gov_shed_frames")};
-    Counter &govAdmitRejects_{stats_.counter("gov_admit_rejects")};
-    Counter &govCheapOpts_{stats_.counter("gov_cheap_opts")};
-    Counter &govSuspended_{stats_.counter("gov_suspended")};
-    Counter &allocFailures_{stats_.counter("alloc_failures")};
     // Tiered re-optimization counters (all zero with tier.workers == 0).
     Counter &tierEnqueues_{stats_.counter("tier_enqueues")};
     Counter &tierPublishes_{stats_.counter("tier_publishes")};
@@ -227,13 +177,7 @@ class RePlayEngine
     Counter &tierStaleDrops_{stats_.counter("tier_stale_drops")};
     Counter &tierDeferrals_{stats_.counter("tier_deferrals")};
     Counter &tierCancelled_{stats_.counter("tier_cancelled")};
-    Counter &tierShed_{stats_.counter("tier_shed")};
     Counter &tierDroppedAtExit_{stats_.counter("tier_dropped_at_exit")};
-
-    /** Governor consumer ids (valid only when cfg_.governor). */
-    unsigned govPoolId_ = 0;
-    unsigned govQuarantineId_ = 0;
-    unsigned govTierId_ = 0;
 
     std::unique_ptr<TierEngine> tier_;
 
@@ -244,15 +188,15 @@ class RePlayEngine
      * pending_ users conceptually, but destruction order is safe either
      * way: the pool's core outlives its handles via shared ownership.
      */
-    ObjectPool<Frame> framePool_ GUARDED_BY(seqRole_);
+    ObjectPool<Frame> framePool_;
 
     struct Pending
     {
         uint64_t readyAt;
         FramePtr frame;
     };
-    std::deque<Pending> pending_ GUARDED_BY(seqRole_);
-    uint64_t nextFrameId_ GUARDED_BY(seqRole_) = 1;
+    std::deque<Pending> pending_;
+    uint64_t nextFrameId_ = 1;
 };
 
 } // namespace replay::core

@@ -54,7 +54,6 @@ TierEngine::TierEngine(const TierConfig &cfg,
 {
     panic_if(cfg_.workers == 0,
              "TierEngine built with a zero tier budget");
-    queue_.setCancelToken(cfg_.cancel);
 }
 
 bool
@@ -134,34 +133,19 @@ TierEngine::waitIdle()
     pullCompleted();
 }
 
-size_t
-TierEngine::memoryBytes() const
-{
-    size_t bytes = queue_.memoryBytes() + inflight_.memoryBytes();
-    for (const auto &res : inbox_)
-        bytes += sizeof(res) + res.memoryBytes();
-    return bytes;
-}
-
 ReoptResult
 TierEngine::runJob(ReoptJob &job)
 {
     ReoptResult res;
     res.frameId = job.frameId;
     res.startPc = job.startPc;
-    try {
-        fullOptimizer_.optimize(job.uops, job.blocks, &job.alias,
-                                res.stats, res.body);
-        // The optimizer counted the snapshot (cheap survivors) as its
-        // input; restore the raw decode-flow accounting so dynamic
-        // uop-reduction metrics keep comparing against the original.
-        res.body.inputUops = job.origInputUops;
-        res.body.inputLoads = job.origInputLoads;
-    } catch (const std::bad_alloc &) {
-        // Survived like any other allocation failure: the result is
-        // marked failed and the cheap-tier frame simply stays.
-        res.failed = true;
-    }
+    fullOptimizer_.optimize(job.uops, job.blocks, &job.alias, res.stats,
+                            res.body);
+    // The optimizer counted the snapshot (cheap survivors) as its
+    // input; restore the raw decode-flow accounting so dynamic
+    // uop-reduction metrics keep comparing against the original.
+    res.body.inputUops = job.origInputUops;
+    res.body.inputLoads = job.origInputLoads;
     return res;
 }
 

@@ -41,7 +41,6 @@
 #include "core/frame.hh"
 #include "opt/optimizer.hh"
 #include "util/bgqueue.hh"
-#include "util/cancellation.hh"
 #include "util/flathash.hh"
 
 namespace replay::core {
@@ -69,9 +68,6 @@ struct TierConfig
 
     /** Priority penalty per assertion fire (hot but flaky sinks). */
     unsigned assertPenalty = 4;
-
-    /** Cooperative stop: pending re-opt work is dropped once tripped. */
-    CancelToken cancel;
 };
 
 /**
@@ -88,11 +84,6 @@ class FrozenAliasHints : public opt::AliasHints
     bool cleanForSpeculation(uint32_t x86_pc,
                              uint8_t mem_seq) const override;
 
-    size_t memoryBytes() const
-    {
-        return dirty_.capacity() * sizeof(uint64_t);
-    }
-
   private:
     std::vector<uint64_t> dirty_;   ///< sorted (pc << 8 | seq) keys
 };
@@ -107,14 +98,6 @@ struct ReoptJob
     std::vector<uop::Uop> uops;     ///< cheap body survivors
     std::vector<uint16_t> blocks;   ///< their basic-block tags
     FrozenAliasHints alias;
-
-    size_t
-    memoryBytes() const
-    {
-        return uops.capacity() * sizeof(uop::Uop) +
-               blocks.capacity() * sizeof(uint16_t) +
-               alias.memoryBytes();
-    }
 };
 
 /** A finished re-optimization, awaiting publication. */
@@ -122,15 +105,8 @@ struct ReoptResult
 {
     uint64_t frameId = 0;
     uint32_t startPc = 0;
-    bool failed = false;        ///< bad_alloc in the worker
     opt::OptimizedFrame body;
     opt::OptStats stats;
-
-    size_t
-    memoryBytes() const
-    {
-        return body.memoryBytes();
-    }
 };
 
 /**
@@ -154,25 +130,18 @@ class TierEngine
     /** True when @p frame is due for re-optimization. */
     bool wantsReopt(const Frame &frame) const;
 
-    /**
-     * Snapshot @p frame and queue it (runs inline in deterministic
-     * mode).  May throw std::bad_alloc while snapshotting — the
-     * caller drops the enqueue, exactly like a candidate build.
-     */
+    /** Snapshot @p frame and queue it (inline in deterministic mode). */
     void enqueue(const Frame &frame, const opt::AliasHints &live);
 
     /** Frame at @p pc left the cache: drop its pending job, if any. */
     unsigned cancelPending(uint32_t pc);
 
-    /** Memory pressure: drop every pending job.  Returns the count. */
+    /** End of run: drop every pending job.  Returns the count. */
     unsigned shedPending();
 
     /**
      * Inbox drain protocol (sequencer thread).  The engine drives the
-     * loop itself — an explicit iteration surface instead of the old
-     * publish-callback template, so the whole publication path stays
-     * statically annotatable (thread-safety analysis cannot attach
-     * REQUIRES to a closure):
+     * loop itself:
      *
      *   tier->refreshInbox();
      *   while (tier->hasInboxResult()) {
@@ -224,9 +193,6 @@ class TierEngine
      * errors so end-of-run teardown never throws.
      */
     void waitIdle();
-
-    /** Pending + undrained footprint for the governor. */
-    size_t memoryBytes() const;
 
     uint64_t executedJobs() const { return queue_.executedCount(); }
 

@@ -107,37 +107,6 @@ FaultInjector::maybeSabotagePass(OptimizedFrame &body)
     return true;
 }
 
-// All three hooks guard the rate before touching rng_: a disabled
-// site must not perturb the deterministic stream the enabled sites
-// consume.
-
-bool
-FaultInjector::maybeFailAlloc()
-{
-    if (cfg_.allocFailRate <= 0.0 || !rng_.chance(cfg_.allocFailRate))
-        return false;
-    ++stats_.counter("alloc_fails");
-    return true;
-}
-
-bool
-FaultInjector::maybeIoFault()
-{
-    if (cfg_.ioFaultRate <= 0.0 || !rng_.chance(cfg_.ioFaultRate))
-        return false;
-    ++stats_.counter("io_faults");
-    return true;
-}
-
-bool
-FaultInjector::maybeStall()
-{
-    if (cfg_.stallRate <= 0.0 || !rng_.chance(cfg_.stallRate))
-        return false;
-    ++stats_.counter("stalls");
-    return true;
-}
-
 unsigned
 FaultInjector::corruptFileBytes(const std::string &path, uint64_t seed,
                                 double byte_rate, uint64_t skip_bytes)

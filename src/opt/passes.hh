@@ -51,12 +51,12 @@ struct OptConfig
     static OptConfig allOn() { return {}; }
 
     /**
-     * The degraded pass subset the engine drops to under HARD memory
-     * pressure (see util/governor.hh): NOP removal plus the always-on
-     * DCE — the two cheapest passes, both linear, no speculation, no
-     * alias-profile dependence.  Frames stay correct (the static
-     * verifier discharges the same obligations), they are just less
-     * optimized until pressure relieves.
+     * The admission subset of the tiered engine (core/tier.hh): NOP
+     * removal plus the always-on DCE — the two cheapest passes, both
+     * linear, no speculation, no alias-profile dependence.  Frames
+     * stay correct (the static verifier discharges the same
+     * obligations), they are just less optimized until the background
+     * re-optimization publishes the full body.
      */
     static OptConfig
     cheap()

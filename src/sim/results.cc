@@ -33,15 +33,6 @@ RunStats::merge(const RunStats &other)
     quarantineBlocks += other.quarantineBlocks;
     quarantineDrops += other.quarantineDrops;
     quarantineReadmissions += other.quarantineReadmissions;
-    govSoftTransitions += other.govSoftTransitions;
-    govHardTransitions += other.govHardTransitions;
-    govCriticalTransitions += other.govCriticalTransitions;
-    govShedFrames += other.govShedFrames;
-    govAdmitRejects += other.govAdmitRejects;
-    govCheapOpts += other.govCheapOpts;
-    govSuspendedCandidates += other.govSuspendedCandidates;
-    allocFailures += other.allocFailures;
-    stallsInjected += other.stallsInjected;
     tierEnqueues += other.tierEnqueues;
     tierReopts += other.tierReopts;
     tierPublishes += other.tierPublishes;
@@ -50,13 +41,7 @@ RunStats::merge(const RunStats &other)
     tierStaleDrops += other.tierStaleDrops;
     tierDeferrals += other.tierDeferrals;
     tierCancelled += other.tierCancelled;
-    tierShed += other.tierShed;
     tierDroppedAtExit += other.tierDroppedAtExit;
-    // Peak footprint merges via max: commutative and associative like
-    // the sums, so merged results stay independent of arrival order.
-    govPeakBytes = govPeakBytes > other.govPeakBytes
-                       ? govPeakBytes
-                       : other.govPeakBytes;
     // Combine digests with modular addition: commutative and
     // associative, so a merged digest is independent of the order the
     // per-trace results arrive in (serial loop or parallel sweep).
@@ -134,41 +119,15 @@ RunStats::fingerprint() const
     f.mix(quarantineBlocks);
     f.mix(quarantineDrops);
     f.mix(quarantineReadmissions);
-    // Governance counters joined the struct after the golden
-    // fingerprints were frozen.  They are all zero in ungoverned,
-    // fault-free runs, so they contribute only when any is nonzero —
-    // behind a sentinel so a governed run can never collide with an
-    // ungoverned run that happens to share the other counters.
-    // govPeakBytes is deliberately NOT part of the predicate: a
-    // governor that never leaves OK is observation-only and must leave
-    // the fingerprint bit-identical to an ungoverned run.
-    const bool governed = govSoftTransitions || govHardTransitions ||
-                          govCriticalTransitions || govShedFrames ||
-                          govAdmitRejects || govCheapOpts ||
-                          govSuspendedCandidates || allocFailures ||
-                          stallsInjected;
-    if (governed) {
-        f.mix(uint64_t(0x60767265646e6f67ULL)); // sentinel: "governed"
-        f.mix(govSoftTransitions);
-        f.mix(govHardTransitions);
-        f.mix(govCriticalTransitions);
-        f.mix(govShedFrames);
-        f.mix(govAdmitRejects);
-        f.mix(govCheapOpts);
-        f.mix(govSuspendedCandidates);
-        f.mix(allocFailures);
-        f.mix(stallsInjected);
-        f.mix(govPeakBytes);
-    }
-    // Tier counters follow the same pattern: they joined after the
-    // goldens froze, are all zero with tierBudget == 0, and contribute
-    // behind their own sentinel only when any is nonzero — so untiered
-    // fingerprints stay bit-identical to the seed, and a tiered run
-    // can never collide with an untiered one sharing the rest.
+    // Tier counters joined the struct after the goldens froze.  They
+    // are all zero with tierBudget == 0 and contribute behind their
+    // own sentinel only when any is nonzero — so untiered fingerprints
+    // stay bit-identical to the seed, and a tiered run can never
+    // collide with an untiered one sharing the rest.
     const bool tiered = tierEnqueues || tierReopts || tierPublishes ||
                         tierUopsRemoved || tierVerifyRejects ||
                         tierStaleDrops || tierDeferrals ||
-                        tierCancelled || tierShed || tierDroppedAtExit;
+                        tierCancelled || tierDroppedAtExit;
     if (tiered) {
         f.mix(uint64_t(0x0000646572656974ULL)); // sentinel: "tiered"
         f.mix(tierEnqueues);
@@ -179,7 +138,7 @@ RunStats::fingerprint() const
         f.mix(tierStaleDrops);
         f.mix(tierDeferrals);
         f.mix(tierCancelled);
-        f.mix(tierShed);
+        f.mix(uint64_t(0));     // retired slot, kept for the goldens
         f.mix(tierDroppedAtExit);
     }
     f.mix(archDigest);

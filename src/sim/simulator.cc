@@ -1,8 +1,6 @@
 #include "sim/simulator.hh"
 
 #include <array>
-#include <chrono>
-#include <thread>
 
 #include "core/frame.hh"
 #include "util/logging.hh"
@@ -44,23 +42,10 @@ Simulator::Simulator(const SimConfig &cfg)
         if (cfg_.usesFrames())
             cfg_.engine.injector = injector_.get();
     }
-    if (cfg_.usesFrames() && cfg_.governor.budgetBytes > 0) {
-        // Per-run governor (never shared across sessions): pressure
-        // must depend only on this run's own allocation history so
-        // governed sweeps stay deterministic under any --jobs.
-        governor_ = std::make_unique<ResourceGovernor>(cfg_.governor);
-        if (injector_ && cfg_.fault.allocFailRate > 0.0) {
-            governor_->setAllocFailureInjector(
-                [inj = injector_.get()] { return inj->maybeFailAlloc(); });
-        }
-        cfg_.engine.governor = governor_.get();
-    }
     if (cfg_.usesFrames() && cfg_.engine.tier.workers > 0) {
-        // Background re-opt work honours the same cancellation token
-        // the simulation loop polls, and every result is validated by
-        // the static verifier before publication (the engine layer
-        // cannot link the verifier itself, so the gate is injected).
-        cfg_.engine.tier.cancel = cfg_.cancel;
+        // Every background result is validated by the static verifier
+        // before publication (the engine layer cannot link the
+        // verifier itself, so the gate is injected).
         if (!cfg_.engine.tierVerify) {
             cfg_.engine.tierVerify = [](const core::Frame &frame) {
                 return vstatic::lintFrame(frame).ok();
@@ -430,22 +415,8 @@ Simulator::run(trace::TraceSource &src)
     stats_ = RunStats{};
     stats_.config = cfg_.name();
 
-    uint64_t checkpoint = 0;
     while (!src.done() &&
            (cfg_.maxInsts == 0 || stats_.x86Retired < cfg_.maxInsts)) {
-        // Cancellation / watchdog checkpoint: cheap enough to sit on
-        // the hot loop (one counter test), frequent enough that a
-        // cancelled or deadline-expired run unwinds within ~1k
-        // records.  The injected stall models a wedged dependency and
-        // exists to exercise the sweep watchdog.
-        if ((++checkpoint & 1023u) == 0) {
-            if (injector_ && injector_->maybeStall()) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(cfg_.fault.stallMillis));
-                ++stats_.stallsInjected;
-            }
-            cfg_.cancel.throwIfStopped("simulation");
-        }
         const TraceRecord *rec = src.peek();
         const uint32_t pc = rec->pc;
 
@@ -500,13 +471,6 @@ Simulator::run(trace::TraceSource &src)
             engine_->stats().get("quarantine_candidate_drops");
         stats_.quarantineReadmissions =
             engine_->quarantine().stats().get("readmissions");
-        stats_.govShedFrames = engine_->stats().get("gov_shed_frames");
-        stats_.govAdmitRejects =
-            engine_->stats().get("gov_admit_rejects");
-        stats_.govCheapOpts = engine_->stats().get("gov_cheap_opts");
-        stats_.govSuspendedCandidates =
-            engine_->stats().get("gov_suspended");
-        stats_.allocFailures = engine_->stats().get("alloc_failures");
         stats_.tierEnqueues = engine_->stats().get("tier_enqueues");
         stats_.tierPublishes = engine_->stats().get("tier_publishes");
         stats_.tierUopsRemoved =
@@ -517,20 +481,10 @@ Simulator::run(trace::TraceSource &src)
             engine_->stats().get("tier_stale_drops");
         stats_.tierDeferrals = engine_->stats().get("tier_deferrals");
         stats_.tierCancelled = engine_->stats().get("tier_cancelled");
-        stats_.tierShed = engine_->stats().get("tier_shed");
         stats_.tierDroppedAtExit =
             engine_->stats().get("tier_dropped_at_exit");
         if (engine_->tier())
             stats_.tierReopts = engine_->tier()->executedJobs();
-    }
-    if (governor_) {
-        stats_.govSoftTransitions =
-            governor_->stats().get("soft_transitions");
-        stats_.govHardTransitions =
-            governor_->stats().get("hard_transitions");
-        stats_.govCriticalTransitions =
-            governor_->stats().get("critical_transitions");
-        stats_.govPeakBytes = governor_->peakBytes();
     }
     if (online_) {
         stats_.archDigest = online_->digest();

@@ -106,24 +106,16 @@ runSweep(const std::vector<SweepCell> &cells, const SweepOptions &opts)
     std::vector<RunStats> slots(tasks.size());
     parallelFor(jobs, tasks.size(), [&](size_t i) {
         const Task &task = tasks[i];
-        // Per-task watchdog: each simulation polls its own deadline
-        // token at the fetch-loop checkpoint.  A task failure of any
-        // kind (deadline, trace error, logic bug) is re-raised with
-        // the cell's identity attached; parallelFor captures the first
-        // one, cancels the remaining tasks, and rethrows from the
-        // join, so a sweep aborts with a diagnostic instead of
-        // std::terminate.
-        CancelSource watchdog;
+        // A task failure of any kind (trace error, logic bug) is
+        // re-raised with the cell's identity attached; parallelFor
+        // captures the first one, cancels the remaining tasks, and
+        // rethrows from the join, so a sweep aborts with a diagnostic
+        // instead of std::terminate.
         SimConfig cfg = task.cell->cfg;
         if (opts.tierWorkers && cfg.usesFrames() &&
             cfg.engine.optimize) {
             cfg.engine.tier.workers = opts.tierWorkers;
             cfg.engine.tier.deterministic = opts.tierDeterministic;
-        }
-        if (opts.taskDeadlineMillis) {
-            watchdog.setDeadlineAfter(
-                std::chrono::milliseconds(opts.taskDeadlineMillis));
-            cfg.cancel = watchdog.token();
         }
         const auto context = [&]() -> std::string {
             return "sweep task [workload=" + task.cell->workload->name +
@@ -136,8 +128,6 @@ runSweep(const std::vector<SweepCell> &cells, const SweepOptions &opts)
             auto src = openTaskTrace(task);
             slots[i] = simulateTrace(cfg, *src,
                                      task.cell->workload->name);
-        } catch (const CancelledError &e) {
-            throw CancelledError(context() + ": " + e.what());
         } catch (const std::exception &e) {
             throw std::runtime_error(context() + ": " + e.what());
         }

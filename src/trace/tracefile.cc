@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <set>
 #include <thread>
 
 #include "trace/chunk.hh"
 #include "util/logging.hh"
-#include "util/sync.hh"
 #include "x86/executor.hh"
 
 namespace replay::trace {
@@ -85,53 +83,11 @@ traceErrorKindName(TraceError::Kind kind)
       case TraceError::Kind::WRITE_FAILED:    return "write_failed";
       case TraceError::Kind::FLUSH_FAILED:    return "flush_failed";
       case TraceError::Kind::READ_ERROR:      return "read_error";
-      case TraceError::Kind::QUARANTINED:     return "quarantined";
       case TraceError::Kind::BAD_CHUNK:       return "bad_chunk";
       case TraceError::Kind::BAD_INDEX:       return "bad_index";
       case TraceError::Kind::BAD_CODEC:       return "bad_codec";
     }
     return "?";
-}
-
-namespace {
-
-// Process-wide registry shared by every sweep worker; the mutex ranks
-// above the pool/queue locks because workers consult it from inside
-// running tasks (with no other lock held, but the rank keeps it
-// honest if that ever changes).
-sync::Mutex traceQuarantineMutex{"trace_registry",
-                                 sync::rank::TRACE_REGISTRY};
-std::set<std::string>
-    traceQuarantineSet GUARDED_BY(traceQuarantineMutex);
-
-} // anonymous namespace
-
-bool
-traceQuarantined(const std::string &path)
-{
-    sync::LockGuard lock(traceQuarantineMutex);
-    return traceQuarantineSet.count(path) != 0;
-}
-
-void
-quarantineTrace(const std::string &path)
-{
-    sync::LockGuard lock(traceQuarantineMutex);
-    traceQuarantineSet.insert(path);
-}
-
-void
-clearTraceQuarantine()
-{
-    sync::LockGuard lock(traceQuarantineMutex);
-    traceQuarantineSet.clear();
-}
-
-size_t
-traceQuarantineSize()
-{
-    sync::LockGuard lock(traceQuarantineMutex);
-    return traceQuarantineSet.size();
 }
 
 void
@@ -237,12 +193,6 @@ FileTraceSource::fail(TraceError::Kind kind, std::string msg)
 FileTraceSource::FileTraceSource(const std::string &path)
     : path_(path), ring_(LOOKAHEAD * 2)
 {
-    if (traceQuarantined(path)) {
-        fail(TraceError::Kind::QUARANTINED,
-             "trace file '" + path +
-                 "' is quarantined after persistent read errors");
-        return;
-    }
     file_ = std::fopen(path.c_str(), "rb");
     if (!file_) {
         fail(TraceError::Kind::OPEN_FAILED,
@@ -349,10 +299,6 @@ FileTraceSource::fill(unsigned n)
                         continue;
                     }
                 }
-                // Persistently bad: quarantine the path so later
-                // opens this session fail fast instead of re-paying
-                // the retry storm.
-                quarantineTrace(path_);
                 fail(TraceError::Kind::READ_ERROR,
                      "trace file '" + path_ +
                          "' read error at record " +

@@ -47,7 +47,6 @@ struct TraceError
         WRITE_FAILED,       ///< fwrite reported a short write
         FLUSH_FAILED,       ///< flush/close failed
         READ_ERROR,         ///< ferror persisted through retries
-        QUARANTINED,        ///< trace previously failed persistently
         BAD_CHUNK,          ///< v3 chunk header corrupt or stale
         BAD_INDEX,          ///< v3 footer/index corrupt or inconsistent
         BAD_CODEC,          ///< v3 chunk codec unknown or unavailable
@@ -93,19 +92,6 @@ struct TraceError
 };
 
 const char *traceErrorKindName(TraceError::Kind kind);
-
-/**
- * Session-level trace quarantine: a trace that failed *persistently*
- * (ferror survived every retry) is registered here, and subsequent
- * FileTraceSource opens of the same path fail fast with QUARANTINED
- * instead of re-paying the retry storm.  Transient faults that a retry
- * recovered never quarantine.  Thread-safe; the registry is process
- * wide and cleared explicitly (tests, campaign phase boundaries).
- */
-bool traceQuarantined(const std::string &path);
-void quarantineTrace(const std::string &path);
-void clearTraceQuarantine();
-size_t traceQuarantineSize();
 
 /** Streaming writer for the binary trace format. */
 class TraceFileWriter
@@ -179,9 +165,10 @@ class FileTraceSource : public TraceSource
     uint64_t produced() const { return produced_; }
 
     /**
-     * Chaos hook: when set, each batched read first asks the hook
-     * whether to behave as a failed fread (transient I/O fault).  An
-     * injected fault exercises exactly the ferror retry path.
+     * Fault-injection hook: when set, each batched read first asks
+     * the hook whether to behave as a failed fread (transient I/O
+     * fault).  An injected fault exercises exactly the ferror retry
+     * path.
      */
     void
     setIoFaultInjector(std::function<bool()> hook)

@@ -468,28 +468,45 @@ TraceV3Source::fail(TraceError::Kind kind, std::string msg,
         std::fclose(file_);
         file_ = nullptr;
     }
+    // Decoded records were copied out already, and locate() returns
+    // pointers into window_, never into the map, so unmapping now is
+    // safe.
+    closeMap();
+}
+
+void
+TraceV3Source::closeMap()
+{
 #if defined(REPLAY_HAVE_MMAP)
-    if (map_) {
-        // Keep the mapping alive: decoded records copied out already,
-        // but locate() may still return pointers into window_, never
-        // into the map, so unmapping now is safe.
+    if (map_)
         munmap(const_cast<uint8_t *>(map_), mapLen_);
-        map_ = nullptr;
-        mapLen_ = 0;
-    }
+    if (mapFd_ >= 0)
+        ::close(mapFd_);
+#endif
+    map_ = nullptr;
+    mapLen_ = 0;
+    mapFd_ = -1;
+}
+
+bool
+TraceV3Source::mapCovers(uint64_t end) const
+{
+    // A MAP_PRIVATE page past the current end of file raises SIGBUS
+    // when touched, so the file's live size — not the size it had at
+    // open — must cover every byte before it is read out of the map.
+    if (end > mapLen_)
+        return false;
+#if defined(REPLAY_HAVE_MMAP)
+    struct stat st;
+    return ::fstat(mapFd_, &st) == 0 && uint64_t(st.st_size) >= end;
+#else
+    return true;
 #endif
 }
 
 TraceV3Source::TraceV3Source(const std::string &path, Options opts)
     : path_(path), opts_(opts)
 {
-    if (traceQuarantined(path)) {
-        fail(TraceError::Kind::QUARANTINED,
-             "trace file '" + path +
-                 "' is quarantined after persistent read errors",
-             0);
-        return;
-    }
     if (!openAndValidate(path))
         return;
     effTotal_ = total_;
@@ -501,10 +518,7 @@ TraceV3Source::~TraceV3Source()
 {
     if (file_)
         std::fclose(file_);
-#if defined(REPLAY_HAVE_MMAP)
-    if (map_)
-        munmap(const_cast<uint8_t *>(map_), mapLen_);
-#endif
+    closeMap();
 }
 
 bool
@@ -538,13 +552,15 @@ TraceV3Source::openAndValidate(const std::string &path)
         if (fd >= 0) {
             void *addr = mmap(nullptr, size_t(file_bytes), PROT_READ,
                               MAP_PRIVATE, fd, 0);
-            ::close(fd);
             if (addr != MAP_FAILED) {
                 map_ = static_cast<const uint8_t *>(addr);
                 mapLen_ = size_t(file_bytes);
+                mapFd_ = fd;
                 // The mapping replaces the stream entirely.
                 std::fclose(file_);
                 file_ = nullptr;
+            } else {
+                ::close(fd);
             }
         }
     }
@@ -553,7 +569,7 @@ TraceV3Source::openAndValidate(const std::string &path)
     auto readAt = [this](uint64_t offset, size_t len,
                          uint8_t *dst) -> bool {
         if (map_) {
-            if (offset + len > mapLen_)
+            if (!mapCovers(offset + len))
                 return false;
             std::memcpy(dst, map_ + offset, len);
             return true;
@@ -586,8 +602,8 @@ TraceV3Source::loadBytes(uint64_t offset, size_t len, size_t chunk)
     for (;;) {
         // The injected fault behaves exactly like a read that came
         // back short with the stream in error: retry with backoff,
-        // then quarantine.  It drives the identical path on both the
-        // mmap and buffered modes.
+        // then fail with READ_ERROR.  It drives the identical path on
+        // both the mmap and buffered modes.
         const bool injected = ioInject_ && ioInject_();
         if (!injected) {
             if (map_) {
@@ -624,7 +640,6 @@ TraceV3Source::loadBytes(uint64_t offset, size_t len, size_t chunk)
                 std::clearerr(file_);
             continue;
         }
-        quarantineTrace(path_);
         fail(TraceError::Kind::READ_ERROR,
              "trace file '" + path_ + "' read error in chunk " +
                  std::to_string(chunk) + " (after " +
@@ -641,6 +656,17 @@ TraceV3Source::loadNextChunk()
         return false;
     const size_t ci = nextChunk_;
     const IndexEntry entry = index_[ci];
+
+    // The header must agree with the index (checked below), so one
+    // size check covers every byte of the chunk read out of the map.
+    if (map_ && !mapCovers(entry.offset + v3::CHUNK_HEADER_BYTES +
+                           entry.payloadBytes)) {
+        fail(TraceError::Kind::TRUNCATED,
+             "trace file '" + path_ + "' shrank below chunk " +
+                 std::to_string(ci) + " while open",
+             entry.offset, int64_t(ci));
+        return false;
+    }
 
     const uint8_t *hdr =
         loadBytes(entry.offset, v3::CHUNK_HEADER_BYTES, ci);

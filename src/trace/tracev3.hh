@@ -3,10 +3,9 @@
  * Trace container format v3: chunked, block-compressed, seekable.
  *
  * The v2 container is a flat record stream read front to back with
- * batched fread — fine for one-shot replays, a bottleneck for the
- * sharded multi-session server the ROADMAP names: no random access, no
- * resume, one checksum multiply per payload byte.  v3 restructures the
- * container around *chunks*:
+ * batched fread — fine for one-shot replays, but with no random
+ * access, no resume, and one checksum multiply per payload byte.  v3
+ * restructures the container around *chunks*:
  *
  *   HEADER   magic/version/record-size guard, record count, codec,
  *            chunk size, index offset, header checksum
@@ -21,9 +20,8 @@
  * checksum is a word-at-a-time FNV over the *stored* bytes, so
  * integrity is verified before any decompression touches the data.
  * The index footer makes the container seekable: seekToRecord() binary
- * searches the index and resumes mid-stream, which is what lets a
- * server session fast-forward to its checkpoint instead of re-reading
- * the prefix.
+ * searches the index and resumes mid-stream, so a replay can start at
+ * any record without re-reading the prefix.
  *
  * Reads go through an mmap zero-copy path by default (the chunk
  * payload is checksummed and decoded directly out of the mapping, no
@@ -32,9 +30,8 @@
  * a damaged file yields its valid prefix and a typed TraceError
  * (TRUNCATED / BAD_CHECKSUM / READ_ERROR / ...) carrying the byte
  * offset, chunk index, and path of the failure; transient read faults
- * retry with backoff and persistently bad paths are quarantined
- * process-wide, and the same fault-injector hook exercises both
- * paths.
+ * retry with backoff, a persistent one ends the stream with
+ * READ_ERROR, and the same fault-injector hook exercises both paths.
  */
 
 #ifndef REPLAY_TRACE_TRACEV3_HH
@@ -221,10 +218,10 @@ class TraceV3Source : public TraceSource
     bool seekToRecord(uint64_t n);
 
     /**
-     * Chaos hook: when set, each chunk load first asks the hook
-     * whether to behave as a failed read (transient I/O fault).  The
-     * injected fault exercises exactly the retry/backoff path real
-     * transient EIO does — in both the buffered and mmap modes.
+     * Fault-injection hook: when set, each chunk load first asks the
+     * hook whether to behave as a failed read (transient I/O fault).
+     * The injected fault exercises exactly the retry/backoff path
+     * real transient EIO does — in both the buffered and mmap modes.
      */
     void
     setIoFaultInjector(std::function<bool()> hook)
@@ -257,6 +254,8 @@ class TraceV3Source : public TraceSource
     void fail(TraceError::Kind kind, std::string msg, uint64_t offset,
               int64_t chunk = -1);
     bool openAndValidate(const std::string &path);
+    bool mapCovers(uint64_t end) const;
+    void closeMap();
     const uint8_t *loadBytes(uint64_t offset, size_t len, size_t chunk);
     bool loadNextChunk();
     const TraceRecord *locate(uint64_t rec);
@@ -265,6 +264,7 @@ class TraceV3Source : public TraceSource
     std::FILE *file_ = nullptr;
     const uint8_t *map_ = nullptr;
     size_t mapLen_ = 0;
+    int mapFd_ = -1;            ///< kept open to re-check the file size
     std::string path_;
     Options opts_;
 

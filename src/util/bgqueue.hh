@@ -6,8 +6,8 @@
  * work items carry a key (the frame's start PC) so pending work can be
  * cancelled when the frame it targets is evicted, a priority so the
  * hottest frames are re-optimized first, and a drop-everything shed
- * path so background work is the first thing sacrificed under memory
- * pressure.  BackgroundQueue packages that on top of ThreadPool:
+ * path for end-of-run teardown.  BackgroundQueue packages that on top
+ * of ThreadPool:
  *
  *   - submit(key, priority, job) enqueues one item and wakes a worker;
  *     workers always pop the highest-priority pending item (FIFO among
@@ -22,14 +22,8 @@
  *     calling thread immediately.  This is the deterministic tier mode
  *     — identical code path, no scheduler in the loop.
  *
- * A CancelToken may be attached; once it stops, workers drop pending
- * items instead of running them (cooperative cancellation, same token
- * the simulator polls).
- *
  * Failure semantics follow ThreadPool: a runner that throws cancels
  * the pool and the exception resurfaces from the next waitIdle().
- * Runners that can fail in expected ways (bad_alloc under a chaos
- * campaign) should catch and encode the failure in their Result.
  */
 
 #ifndef REPLAY_UTIL_BGQUEUE_HH
@@ -40,20 +34,15 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
-#include "util/cancellation.hh"
-#include "util/logging.hh"
-#include "util/sync.hh"
 #include "util/threadpool.hh"
 
 namespace replay {
 
-/**
- * Keyed priority work queue.  Job and Result must expose
- * memoryBytes() (governor accounting) and be movable.
- */
+/** Keyed priority work queue.  Job and Result must be movable. */
 template <typename Job, typename Result>
 class BackgroundQueue
 {
@@ -82,29 +71,15 @@ class BackgroundQueue
     BackgroundQueue &operator=(const BackgroundQueue &) = delete;
 
     /**
-     * Cooperative stop: once tripped, pending items are dropped.
-     * Taken under the queue mutex — workers read the token inside
-     * pump()'s critical section, so an unsynchronized write here was
-     * a race (caught by the annotation sweep; regression-tested in
-     * test_tier).
-     */
-    void
-    setCancelToken(CancelToken token) EXCLUDES(mutex_)
-    {
-        sync::LockGuard lock(mutex_);
-        cancel_ = std::move(token);
-    }
-
-    /**
      * Enqueue one item.  Inline mode runs it before returning; pool
      * mode wakes a worker that pops the best pending item (which may
      * be a different, higher-priority one).
      */
     void
-    submit(uint64_t key, int64_t priority, Job job) EXCLUDES(mutex_)
+    submit(uint64_t key, int64_t priority, Job job)
     {
         {
-            sync::LockGuard lock(mutex_);
+            std::lock_guard<std::mutex> lock(mutex_);
             pending_.push_back(
                 {key, priority, nextSeq_++, std::move(job)});
         }
@@ -116,9 +91,9 @@ class BackgroundQueue
 
     /** Drop every pending item with @p key; returns how many. */
     unsigned
-    cancel(uint64_t key) EXCLUDES(mutex_)
+    cancel(uint64_t key)
     {
-        sync::LockGuard lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         unsigned dropped = 0;
         for (size_t i = 0; i < pending_.size();) {
             if (pending_[i].key == key) {
@@ -133,9 +108,9 @@ class BackgroundQueue
 
     /** Drop every pending item; returns the dropped keys. */
     std::vector<uint64_t>
-    shedAll() EXCLUDES(mutex_)
+    shedAll()
     {
-        sync::LockGuard lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         std::vector<uint64_t> keys;
         keys.reserve(pending_.size());
         for (const auto &e : pending_)
@@ -153,9 +128,9 @@ class BackgroundQueue
 
     /** Move all completed results into @p out (appended). */
     void
-    takeCompleted(std::vector<Result> &out) EXCLUDES(mutex_)
+    takeCompleted(std::vector<Result> &out)
     {
-        sync::LockGuard lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         for (auto &r : completed_)
             out.push_back(std::move(r));
         completed_.clear();
@@ -174,9 +149,9 @@ class BackgroundQueue
     }
 
     size_t
-    pendingCount() const EXCLUDES(mutex_)
+    pendingCount() const
     {
-        sync::LockGuard lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         return pending_.size();
     }
 
@@ -185,19 +160,6 @@ class BackgroundQueue
     executedCount() const
     {
         return executed_.load(std::memory_order_relaxed);
-    }
-
-    /** Footprint of pending jobs + undrained results (governor). */
-    size_t
-    memoryBytes() const EXCLUDES(mutex_)
-    {
-        sync::LockGuard lock(mutex_);
-        size_t bytes = sizeof(*this);
-        for (const auto &e : pending_)
-            bytes += sizeof(e) + e.job.memoryBytes();
-        for (const auto &r : completed_)
-            bytes += sizeof(r) + r.memoryBytes();
-        return bytes;
     }
 
     unsigned numWorkers() const { return pool_ ? pool_->numThreads() : 0; }
@@ -213,17 +175,13 @@ class BackgroundQueue
 
     /** One worker wakeup: pop and run the best pending item. */
     void
-    pump() EXCLUDES(mutex_)
+    pump()
     {
         Entry entry{0, 0, 0, Job{}};
         {
-            sync::LockGuard lock(mutex_);
+            std::lock_guard<std::mutex> lock(mutex_);
             if (pending_.empty())
                 return;     // cancelled or shed since submission
-            if (cancel_.stopRequested()) {
-                pending_.clear();
-                return;
-            }
             size_t best = 0;
             for (size_t i = 1; i < pending_.size(); ++i) {
                 const Entry &e = pending_[i];
@@ -239,7 +197,7 @@ class BackgroundQueue
         Result result = runner_(entry.job);
         executed_.fetch_add(1, std::memory_order_relaxed);
         {
-            sync::LockGuard lock(mutex_);
+            std::lock_guard<std::mutex> lock(mutex_);
             completed_.push_back(std::move(result));
             completedCount_.store(completed_.size(),
                                   std::memory_order_release);
@@ -248,13 +206,12 @@ class BackgroundQueue
 
     Runner runner_;
     std::unique_ptr<ThreadPool> pool_;
-    mutable sync::Mutex mutex_{"bgqueue", sync::rank::BGQUEUE};
-    CancelToken cancel_ GUARDED_BY(mutex_);
-    std::deque<Entry> pending_ GUARDED_BY(mutex_);
-    std::deque<Result> completed_ GUARDED_BY(mutex_);
+    mutable std::mutex mutex_;      ///< guards pending_ .. nextSeq_
+    std::deque<Entry> pending_;
+    std::deque<Result> completed_;
     std::atomic<size_t> completedCount_{0};
     std::atomic<uint64_t> executed_{0};
-    uint64_t nextSeq_ GUARDED_BY(mutex_) = 0;
+    uint64_t nextSeq_ = 0;
 };
 
 } // namespace replay

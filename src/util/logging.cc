@@ -3,8 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-
-#include "util/sync.hh"
+#include <mutex>
 
 namespace replay {
 
@@ -12,16 +11,15 @@ namespace {
 
 // Sweep workers report concurrently: the handler pointer is atomic and
 // each message is emitted under a lock so lines never interleave.  The
-// report mutex holds the *maximum* hierarchy rank: any thread must be
-// able to warn/panic no matter which locks it already holds, and
-// nothing may ever be acquired while reporting.
+// report mutex is a leaf: any thread may warn/panic no matter which
+// lock it already holds, and nothing is ever acquired while reporting.
 std::atomic<DeathHandler> deathHandler{nullptr};
-sync::Mutex reportMutex{"report", sync::rank::REPORT};
+std::mutex reportMutex;
 
 void
 vreport(const char *tag, const char *fmt, va_list ap)
 {
-    sync::LockGuard lock(reportMutex);
+    std::lock_guard<std::mutex> lock(reportMutex);
     std::fprintf(stderr, "%s", tag);
     std::vfprintf(stderr, fmt, ap);
     std::fprintf(stderr, "\n");
@@ -40,7 +38,7 @@ reportDeath(const char *kind, const char *file, int line,
     char message[1024];
     std::vsnprintf(message, sizeof(message), fmt, ap);
     {
-        sync::LockGuard lock(reportMutex);
+        std::lock_guard<std::mutex> lock(reportMutex);
         std::fprintf(stderr, "%s: (%s:%d) %s\n", kind, file, line,
                      message);
         std::fflush(stderr);

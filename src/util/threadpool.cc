@@ -18,13 +18,13 @@ ThreadPool::~ThreadPool()
 {
     drain();
     {
-        sync::LockGuard lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         stopping_ = true;
         if (firstError_) {
             // wait() was never called to collect it; dying with the
             // error swallowed silently would hide real failures.
-            // (warn's report mutex is the hierarchy maximum, so
-            // reporting from under the pool lock is in order.)
+            // (warn's report mutex is a leaf: it never takes another
+            // lock, so reporting from under the pool lock is safe.)
             warn("thread pool destroyed with an uncollected job "
                  "exception");
             firstError_ = nullptr;
@@ -40,7 +40,7 @@ ThreadPool::submit(std::function<void()> job)
 {
     panic_if(!job, "submitting an empty job");
     {
-        sync::LockGuard lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         panic_if(stopping_, "submitting to a stopping thread pool");
         queue_.push_back(std::move(job));
     }
@@ -50,12 +50,9 @@ ThreadPool::submit(std::function<void()> job)
 void
 ThreadPool::drain()
 {
-    // Manual wait loop rather than a predicate lambda: thread-safety
-    // analysis cannot attach REQUIRES to a closure, so the guarded
-    // reads stay in this (annotatable) scope.
-    sync::UniqueLock lock(mutex_);
-    while (!(queue_.empty() && active_ == 0))
-        allDone_.wait(lock);
+    std::unique_lock<std::mutex> lock(mutex_);
+    allDone_.wait(lock,
+                  [this] { return queue_.empty() && active_ == 0; });
 }
 
 void
@@ -63,9 +60,9 @@ ThreadPool::wait()
 {
     std::exception_ptr error;
     {
-        sync::UniqueLock lock(mutex_);
-        while (!(queue_.empty() && active_ == 0))
-            allDone_.wait(lock);
+        std::unique_lock<std::mutex> lock(mutex_);
+        allDone_.wait(lock,
+                      [this] { return queue_.empty() && active_ == 0; });
         if (!firstError_)
             return;
         error = firstError_;
@@ -78,10 +75,10 @@ ThreadPool::wait()
 void
 ThreadPool::workerLoop()
 {
-    sync::UniqueLock lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        while (!(stopping_ || !queue_.empty()))
-            jobReady_.wait(lock);
+        jobReady_.wait(lock,
+                       [this] { return stopping_ || !queue_.empty(); });
         if (queue_.empty())
             return;                     // stopping_ and drained
         std::function<void()> job = std::move(queue_.front());

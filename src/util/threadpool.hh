@@ -24,14 +24,14 @@
 #define REPLAY_UTIL_THREADPOOL_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
-
-#include "util/sync.hh"
 
 namespace replay {
 
@@ -49,18 +49,18 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /** Enqueue one job.  Never blocks on job execution. */
-    void submit(std::function<void()> job) EXCLUDES(mutex_);
+    void submit(std::function<void()> job);
 
     /**
      * Block until the queue is empty and no job is running.  If any
      * job threw since the last wait(), rethrows the first captured
      * exception (the rest were cancelled or ran to completion).
      */
-    void wait() EXCLUDES(mutex_);
+    void wait();
 
     /**
-     * A job threw (or cancelAll() was called): cooperative jobs poll
-     * this and return early instead of doing doomed work.
+     * A job threw: cooperative jobs poll this and return early instead
+     * of doing doomed work.
      */
     bool
     cancelled() const
@@ -68,27 +68,20 @@ class ThreadPool
         return cancelled_.load(std::memory_order_relaxed);
     }
 
-    /** Request cancellation of queued cooperative work (watchdogs). */
-    void
-    cancelAll()
-    {
-        cancelled_.store(true, std::memory_order_relaxed);
-    }
-
     unsigned numThreads() const { return unsigned(workers_.size()); }
 
   private:
-    void workerLoop() EXCLUDES(mutex_);
-    void drain() EXCLUDES(mutex_);
+    void workerLoop();
+    void drain();
 
-    sync::Mutex mutex_{"threadpool", sync::rank::POOL};
-    sync::CondVar jobReady_;             ///< workers wait here
-    sync::CondVar allDone_;              ///< wait() waits here
-    std::deque<std::function<void()>> queue_ GUARDED_BY(mutex_);
+    std::mutex mutex_;                   ///< guards the fields below
+    std::condition_variable jobReady_;   ///< workers wait here
+    std::condition_variable allDone_;    ///< wait() waits here
+    std::deque<std::function<void()>> queue_;
     std::vector<std::thread> workers_;
-    unsigned active_ GUARDED_BY(mutex_) = 0;  ///< jobs executing now
-    bool stopping_ GUARDED_BY(mutex_) = false;
-    std::exception_ptr firstError_ GUARDED_BY(mutex_);
+    unsigned active_ = 0;                ///< jobs executing now
+    bool stopping_ = false;
+    std::exception_ptr firstError_;
     std::atomic<bool> cancelled_{false};
 };
 

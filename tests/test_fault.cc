@@ -16,6 +16,7 @@
 #include "sim/simulator.hh"
 #include "trace/tracefile.hh"
 #include "trace/workload.hh"
+#include "testdir.hh"
 
 using namespace replay;
 using namespace replay::sim;
@@ -24,6 +25,7 @@ using timing::CycleBin;
 using trace::FileTraceSource;
 using trace::TraceError;
 using trace::TraceFileWriter;
+using testutil::testPath;
 
 namespace {
 
@@ -180,7 +182,7 @@ dumpTrace(const std::string &name, uint64_t insts,
 {
     const auto &w = trace::findWorkload(name);
     const std::string path =
-        ::testing::TempDir() + name + "." + tag + ".rplt";
+        testPath(name + "." + tag + ".rplt");
     TraceFileWriter::dumpProgram(w.buildProgram(0), insts, path);
     return path;
 }
@@ -221,7 +223,7 @@ TEST(TraceRobustness, SimulatorCompletesOnTruncatedTrace)
 
 TEST(TraceRobustness, GarbageFileIsEmptyWithBadMagic)
 {
-    const std::string path = ::testing::TempDir() + "garbage.rplt";
+    const std::string path = testPath("garbage.rplt");
     {
         std::ofstream out(path, std::ios::binary);
         out << "this is not a trace file at all, not even close";
@@ -235,7 +237,7 @@ TEST(TraceRobustness, GarbageFileIsEmptyWithBadMagic)
 
 TEST(TraceRobustness, MissingFileReportsOpenFailure)
 {
-    FileTraceSource src(::testing::TempDir() + "does-not-exist.rplt");
+    FileTraceSource src(testPath("does-not-exist.rplt"));
     EXPECT_FALSE(src.ok());
     EXPECT_EQ(src.error().kind, TraceError::Kind::OPEN_FAILED);
     EXPECT_TRUE(src.done());
@@ -262,8 +264,7 @@ TEST(TraceRobustness, BitFlippedRecordCaughtByChecksum)
 
 TEST(TraceRobustness, WriterSurfacesOpenFailure)
 {
-    TraceFileWriter writer(::testing::TempDir() +
-                           "no-such-dir/x/y/z.rplt");
+    TraceFileWriter writer(testPath("no-such-dir/x/y/z.rplt"));
     EXPECT_FALSE(writer.ok());
     EXPECT_EQ(writer.error().kind, TraceError::Kind::OPEN_FAILED);
     writer.write(trace::TraceRecord{});      // must be a safe no-op
@@ -274,7 +275,7 @@ TEST(TraceRobustness, WriterSurfacesOpenFailure)
 TEST(TraceRobustness, WriterRoundTripReportsNoError)
 {
     const auto &w = trace::findWorkload("bzip2");
-    const std::string path = ::testing::TempDir() + "clean.rplt";
+    const std::string path = testPath("clean.rplt");
     TraceFileWriter::dumpProgram(w.buildProgram(0), 500, path);
     FileTraceSource src(path);
     EXPECT_TRUE(src.ok());

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 #include "sim/runner.hh"
@@ -33,8 +34,10 @@
 #include "trace/tracer.hh"
 #include "trace/tracev3.hh"
 #include "trace/workload.hh"
+#include "testdir.hh"
 
 using namespace replay;
+using testutil::testPath;
 
 namespace {
 
@@ -47,6 +50,17 @@ struct GoldenCell
     const char *fingerprint;    ///< RunStats::fingerprint(), hex
     uint64_t x86Retired;        ///< budget x numTraces
 };
+
+/**
+ * Print a cell by name, not as raw bytes: gtest would otherwise dump
+ * the workload pointer into the discovered test name, which then
+ * changes with every build's load address.
+ */
+void
+PrintTo(const GoldenCell &cell, std::ostream *os)
+{
+    *os << cell.workload << "/" << sim::machineName(cell.machine);
+}
 
 /** One row per (workload, machine): the frozen behaviour snapshot. */
 constexpr GoldenCell kGolden[] = {
@@ -158,7 +172,7 @@ TEST(GoldenSweep, V3CorpusReplayIsBitIdenticalToTheGoldens)
 {
     // Record every (workload, hot spot) at the golden budget and pin
     // each stream with the synthesizer's authoritative digest.
-    const std::string dir = ::testing::TempDir();
+    const std::string dir = testPath("");
     const std::string manifest = dir + "golden_corpus.json";
     std::vector<trace::CorpusEntry> entries;
     for (const trace::Workload &w : trace::standardWorkloads()) {
@@ -179,7 +193,6 @@ TEST(GoldenSweep, V3CorpusReplayIsBitIdenticalToTheGoldens)
     }
     ASSERT_TRUE(trace::writeCorpusManifest(manifest, entries).ok());
 
-    trace::clearTraceQuarantine();
     const trace::TraceCorpus corpus = trace::TraceCorpus::load(manifest);
     ASSERT_TRUE(corpus.ok()) << corpus.error().describe();
 

@@ -15,10 +15,12 @@
 #include "sim/runner.hh"
 #include "sim/tracecachefill.hh"
 #include "util/logging.hh"
+#include "testdir.hh"
 
 using namespace replay;
 using namespace replay::sim;
 using timing::CycleBin;
+using testutil::testPath;
 
 namespace {
 
@@ -278,7 +280,7 @@ TEST(Simulator, FileTraceMatchesLiveTrace)
     // results to simulating from the live executor stream.
     const auto &w = trace::findWorkload("twolf");
     const auto prog = w.buildProgram(0);
-    const std::string path = ::testing::TempDir() + "twolf.rplt";
+    const std::string path = testPath("twolf.rplt");
     trace::TraceFileWriter::dumpProgram(prog, 80000, path);
 
     auto cfg = SimConfig::make(Machine::RPO);

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the deterministic parallel sweep substrate: the job-queue
- * thread pool, order-independent RunStats merging (the bug that blocked
- * parallelizing the figure sweeps), and bit-identity of sweep results
- * across worker counts and against the serial runner.  These run under
- * ThreadSanitizer in tier-1 (label: sweep).
+ * thread pool and its failure propagation, order-independent RunStats
+ * merging (the bug that blocked parallelizing the figure sweeps), and
+ * bit-identity of sweep results across worker counts and against the
+ * serial runner.  These run under ThreadSanitizer in tier-1 (label:
+ * sweep).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 #include "sim/sweep.hh"
 #include "util/logging.hh"
@@ -61,6 +63,69 @@ TEST(ParallelFor, FillsIndexedSlotsForAnyWorkerCount)
         for (size_t i = 0; i < slots.size(); ++i)
             EXPECT_EQ(slots[i], i * i) << "jobs=" << jobs;
     }
+}
+
+// ------------------------------------------- failure propagation
+
+TEST(ParallelFor, ThrowingIterationRethrowsInsteadOfTerminating)
+{
+    std::atomic<unsigned> executed{0};
+    bool caught = false;
+    try {
+        parallelFor(4, 64, [&](size_t i) {
+            if (i == 7)
+                throw std::runtime_error("iteration 7 failed");
+            ++executed;
+        });
+    } catch (const std::runtime_error &e) {
+        caught = true;
+        EXPECT_STREQ(e.what(), "iteration 7 failed");
+    }
+    EXPECT_TRUE(caught);
+    // The failure cancels queued iterations: strictly fewer than all
+    // the surviving 63 may run, never more.
+    EXPECT_LE(executed.load(), 63u);
+}
+
+TEST(ParallelFor, SerialPathPropagatesTheSameWay)
+{
+    EXPECT_THROW(
+        parallelFor(1, 8,
+                    [](size_t i) {
+                        if (i == 3)
+                            throw std::runtime_error("serial fail");
+                    }),
+        std::runtime_error);
+}
+
+TEST(ThreadPool, WaitRethrowsFirstErrorAndPoolStaysUsable)
+{
+    ThreadPool pool(2);
+    pool.submit([] { throw std::logic_error("job error"); });
+    EXPECT_THROW(pool.wait(), std::logic_error);
+    EXPECT_FALSE(pool.cancelled());     // reset by the failed wait()
+
+    // The pool survives a failed batch: later jobs run normally.
+    std::atomic<bool> ran{false};
+    pool.submit([&] { ran = true; });
+    EXPECT_NO_THROW(pool.wait());
+    EXPECT_TRUE(ran.load());
+}
+
+TEST(ThreadPool, CooperativeJobsObserveCancellation)
+{
+    ThreadPool pool(2);
+    std::atomic<unsigned> skipped{0};
+    pool.submit([&] { throw std::runtime_error("first"); });
+    // Give the failure time to land, then submit cooperative jobs.
+    pool.submit([&] {
+        for (unsigned spin = 0; spin < 1000 && !pool.cancelled(); ++spin)
+            std::this_thread::yield();
+        if (pool.cancelled())
+            ++skipped;
+    });
+    EXPECT_THROW(pool.wait(), std::runtime_error);
+    EXPECT_LE(skipped.load(), 1u);
 }
 
 // ------------------------------------------------- digest merge (bug)

@@ -22,7 +22,6 @@
 #include "sim/sweep.hh"
 #include "trace/workload.hh"
 #include "util/bgqueue.hh"
-#include "util/cancellation.hh"
 #include "util/rng.hh"
 
 using namespace replay;
@@ -41,13 +40,11 @@ namespace {
 struct TestJob
 {
     int id = 0;
-    size_t memoryBytes() const { return sizeof(*this); }
 };
 
 struct TestResult
 {
     int id = 0;
-    size_t memoryBytes() const { return sizeof(*this); }
 };
 
 using TestQueue = BackgroundQueue<TestJob, TestResult>;
@@ -229,28 +226,6 @@ TEST(BackgroundQueue, ShedAllReturnsTheDroppedKeys)
     EXPECT_EQ(queue.executedCount(), 1u);
 }
 
-TEST(BackgroundQueue, CancelTokenDropsPendingWork)
-{
-    CancelSource source;
-    unsigned ran = 0;
-    TestQueue queue(0, [&](TestJob &job) {
-        ++ran;
-        return TestResult{job.id};
-    });
-    queue.setCancelToken(source.token());
-
-    queue.submit(1, 0, TestJob{1});
-    EXPECT_EQ(ran, 1u);
-
-    source.cancel();
-    queue.submit(2, 0, TestJob{2});
-    // The pump saw the tripped token and dropped the item instead of
-    // running it.
-    EXPECT_EQ(ran, 1u);
-    EXPECT_EQ(queue.executedCount(), 1u);
-    EXPECT_EQ(queue.pendingCount(), 0u);
-}
-
 TEST(BackgroundQueue, RunnerExceptionSurfacesFromWaitIdle)
 {
     TestQueue queue(2, [](TestJob &job) -> TestResult {
@@ -267,30 +242,6 @@ TEST(BackgroundQueue, RunnerExceptionSurfacesFromWaitIdle)
     queue.takeCompleted(results);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].id, 2);
-}
-
-TEST(BackgroundQueue, MemoryBytesTracksPendingAndCompleted)
-{
-    Gate gate;
-    TestQueue queue(1, [&](TestJob &job) {
-        if (job.id == 0)
-            gate.enter();
-        return TestResult{job.id};
-    });
-    const size_t empty = queue.memoryBytes();
-
-    queue.submit(0, 1000, TestJob{0});
-    gate.waitEntered();
-    queue.submit(1, 1, TestJob{1});
-    EXPECT_GT(queue.memoryBytes(), empty);
-
-    gate.release();
-    queue.waitIdle();
-    // Undrained results still count until the consumer takes them.
-    EXPECT_GT(queue.memoryBytes(), empty);
-    std::vector<TestResult> results;
-    queue.takeCompleted(results);
-    EXPECT_EQ(queue.memoryBytes(), empty);
 }
 
 /**
@@ -340,50 +291,16 @@ TEST(BackgroundQueueStress, ConcurrentSubmitCancelShedHammer)
     EXPECT_EQ(ran.load(), queue.executedCount());
 }
 
-TEST(BackgroundQueueStress, SetCancelTokenRacesWithWorkerPump)
-{
-    // Regression for a missed guard found by the thread-safety
-    // annotation sweep: setCancelToken() rebound the stored token (a
-    // shared_ptr copy) without the queue mutex while workers read it
-    // inside pump()'s critical section.  The token is now
-    // GUARDED_BY(mutex_); this hammer runs rebinding and pumping
-    // concurrently so the tier-1 TSan sync stage would catch any
-    // relapse.
-    std::atomic<uint64_t> ran{0};
-    TestQueue queue(4, [&](TestJob &job) {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        return TestResult{job.id};
-    });
-
-    std::atomic<bool> stop{false};
-    std::thread rebinder([&] {
-        while (!stop.load(std::memory_order_acquire)) {
-            CancelSource source;        // fresh, untripped state
-            queue.setCancelToken(source.token());
-        }
-    });
-    for (int i = 0; i < 2000; ++i)
-        queue.submit(uint64_t(i % 5), i % 3, TestJob{i});
-    queue.waitIdle();
-    stop.store(true, std::memory_order_release);
-    rebinder.join();
-
-    // Every token installed was untripped, so nothing was dropped.
-    EXPECT_EQ(queue.pendingCount(), 0u);
-    EXPECT_EQ(queue.executedCount(), 2000u);
-    EXPECT_EQ(ran.load(), 2000u);
-}
-
 TEST(BackgroundQueue, CancelDuringPopWindowRunsToCompletion)
 {
-    // Documents the cancel(key)-vs-worker-pop window the annotation
-    // sweep examined: an item a worker has already popped is beyond
-    // cancel's reach — cancel(key) returns 0, the job runs to
-    // completion, and its (now stale) result still arrives in the
-    // inbox.  Consumers must detect staleness themselves; the tier
-    // engine does so with frame-id checks at publication, and keeps
-    // the key in its in-flight set until the stale result is drained
-    // (which is what re-arms wantsReopt for that frame).
+    // Documents the cancel(key)-vs-worker-pop window: an item a
+    // worker has already popped is beyond cancel's reach — cancel(key)
+    // returns 0, the job runs to completion, and its (now stale)
+    // result still arrives in the inbox.  Consumers must detect
+    // staleness themselves; the tier engine does so with frame-id
+    // checks at publication, and keeps the key in its in-flight set
+    // until the stale result is drained (which is what re-arms
+    // wantsReopt for that frame).
     Gate gate;
     TestQueue queue(1, [&](TestJob &job) {
         if (job.id == 0)
@@ -460,22 +377,16 @@ TEST(FrameCachePublish, OversizePublishIsRejectedIntact)
     EXPECT_EQ(cache.occupiedUops(), 90u);
 }
 
-TEST(FrameCacheAudit, GovernorModelMatchesDirectRecountAfterChurn)
+TEST(FrameCacheAudit, OccupancyModelMatchesDirectRecountAfterChurn)
 {
-    // The O(1) occupancy model feeds the governor; tier republication
-    // is the one path where a resident body's size changes in place,
-    // so drive insert/publish/evict/shed churn and check the model
-    // against a from-scratch recount at every step.
-    ResourceGovernor governor;
+    // Tier republication is the one path where a resident body's size
+    // changes in place, so drive insert/publish/evict churn and check
+    // the O(1) occupancy model against a from-scratch recount at every
+    // step.
     FrameCache cache(300);
-    cache.setGovernor(&governor);
-    const unsigned gov_id = 0;      // first registered consumer
 
     auto audit = [&](const char *where) {
         EXPECT_EQ(cache.occupiedUops(), cache.recountUops()) << where;
-        EXPECT_EQ(cache.memoryBytes(), cache.auditBytes()) << where;
-        EXPECT_EQ(governor.consumerBytes(gov_id), cache.memoryBytes())
-            << where;
     };
 
     for (uint32_t pc = 0x1000; pc < 0x1000 + 8 * 0x100; pc += 0x100)
@@ -503,12 +414,12 @@ TEST(FrameCacheAudit, GovernorModelMatchesDirectRecountAfterChurn)
         break;
     }
 
-    // Invalidate one, shed one, then re-fill; the model must track
-    // every departure and arrival exactly.
+    // Invalidate one, force a capacity eviction, then re-fill; the
+    // model must track every departure and arrival exactly.
     cache.invalidate(0x1200);
     audit("after invalidate");
-    (void)cache.shedLru();
-    audit("after shed");
+    cache.insert(makeFrame(0x8000, 250));
+    audit("after evicting insert");
     cache.insert(makeFrame(0x9000, 25));
     audit("after re-fill");
     EXPECT_GT(cache.stats().get("publishes"), 0u);
@@ -528,9 +439,25 @@ TEST(FrameCacheEviction, ListenerSeesEveryDepartureButNotPublishes)
 
     cache.insert(makeFrame(0x3000, 60));    // capacity-evicts 0x1000
     cache.invalidate(0x2000);
-    (void)cache.shedLru();                  // sheds 0x3000
+    cache.insert(makeFrame(0x4000, 50));    // capacity-evicts 0x3000
     EXPECT_EQ(evicted,
               (std::vector<uint32_t>{0x1000, 0x2000, 0x3000}));
+}
+
+TEST(FrameCachePressure, InsertNeverEvictsThePinnedFrame)
+{
+    FrameCache cache(100);
+    cache.insert(makeFrame(0x1000, 90));
+    cache.pin(0x1000);
+    // The newcomer cannot fit without evicting the pinned frame: it is
+    // rejected, and occupancy is untouched.
+    cache.insert(makeFrame(0x2000, 20));
+    EXPECT_EQ(cache.probe(0x2000), nullptr);
+    EXPECT_NE(cache.probe(0x1000), nullptr);
+    EXPECT_EQ(cache.occupiedUops(), 90u);
+    cache.unpin();
+    cache.insert(makeFrame(0x2000, 20));
+    EXPECT_NE(cache.probe(0x2000), nullptr);
 }
 
 // ---------------------------------------------------------------------
@@ -541,11 +468,14 @@ namespace {
 
 sim::RunStats
 runTiered(const std::string &app, unsigned workers, bool deterministic,
-          uint64_t insts = 30000, bool verify_online = false)
+          uint64_t insts = 30000, bool verify_online = false,
+          unsigned fcache_uops = 0)
 {
     SimConfig cfg = SimConfig::make(Machine::RPO);
     cfg.maxInsts = insts;
     cfg.verifyOnline = verify_online;
+    if (fcache_uops)
+        cfg.engine.fcacheCapacityUops = fcache_uops;
     cfg.engine.tier.workers = workers;
     cfg.engine.tier.deterministic = deterministic;
     auto src = trace::findWorkload(app).openTrace(0, cfg.maxInsts);
@@ -556,8 +486,8 @@ runTiered(const std::string &app, unsigned workers, bool deterministic,
 /**
  * Every queued re-optimization must be accounted for: published,
  * rejected by the verifier, dropped as stale, cancelled on eviction,
- * shed under pressure, or dropped at exit.  A leak in the inflight
- * bookkeeping shows up as an imbalance here.
+ * or dropped at exit.  A leak in the inflight bookkeeping shows up as
+ * an imbalance here.
  */
 void
 expectTierAccountingBalances(const sim::RunStats &stats)
@@ -565,7 +495,7 @@ expectTierAccountingBalances(const sim::RunStats &stats)
     EXPECT_EQ(stats.tierEnqueues,
               stats.tierPublishes + stats.tierVerifyRejects +
                   stats.tierStaleDrops + stats.tierCancelled +
-                  stats.tierShed + stats.tierDroppedAtExit);
+                  stats.tierDroppedAtExit);
 }
 
 } // namespace
@@ -599,6 +529,31 @@ TEST(TierEngineRun, DeterministicTierModeIsReproducible)
     EXPECT_GT(a.tierPublishes, 0u);
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
     expectTierAccountingBalances(a);
+}
+
+TEST(TierChurn, EvictedFramesCancelTheirPendingReopt)
+{
+    // A 512-uop cache churns hot crafty frames in and out while one
+    // background worker lags behind the enqueue rate.  Every eviction
+    // of a frame with a job still pending must cancel that job (the
+    // stale-work leak fix); a job already past the pop races the
+    // eviction and lands as a stale drop instead.  Either way the
+    // accounting must balance — a leak would leave enqueues
+    // unaccounted for.
+    uint64_t total_hit = 0;
+    for (unsigned attempt = 0; attempt < 5; ++attempt) {
+        const sim::RunStats stats =
+            runTiered("crafty", 1, false, 60000, false, 512);
+        EXPECT_GE(stats.x86Retired, 60000u);
+        EXPECT_GT(stats.fcacheEvictions, 0u);
+        EXPECT_GT(stats.tierEnqueues, 0u);
+        expectTierAccountingBalances(stats);
+        total_hit += stats.tierCancelled + stats.tierStaleDrops;
+        if (total_hit)
+            break;
+    }
+    EXPECT_GT(total_hit, 0u)
+        << "churn never intersected in-flight re-opt work";
 }
 
 /**
@@ -659,26 +614,22 @@ TEST(TierSweep, DeterministicTierDigestStableAcrossJobs)
 
 /**
  * TSan target for the full publish/acquire protocol: many short
- * governed, tiered runs back to back, with async workers racing the
- * sequencer thread through enqueue, drain, publish, eviction-cancel,
- * and pressure-shed.  Correctness is the accounting invariant plus a
- * clean online-verifier record on every iteration.
+ * tiered runs back to back, with async workers racing the sequencer
+ * thread through enqueue, drain, publish, and eviction-cancel (small
+ * frame caches keep evictions frequent).  Correctness is the
+ * accounting invariant plus a clean online-verifier record on every
+ * iteration.
  */
-TEST(TierStress, GovernedTieredSoakKeepsAccountsBalanced)
+TEST(TierStress, TieredSoakKeepsAccountsBalanced)
 {
     for (unsigned round = 0; round < 6; ++round) {
-        SimConfig cfg = SimConfig::make(Machine::RPO);
-        cfg.maxInsts = 12000;
-        cfg.verifyOnline = true;
-        cfg.engine.tier.workers = 2 + round % 3;
-        cfg.governor.budgetBytes = (192u + 64u * (round % 4)) << 10;
         const auto &workloads = trace::standardWorkloads();
         const auto &workload = workloads[round % workloads.size()];
-        auto src = workload.openTrace(0, cfg.maxInsts);
-        sim::Simulator simulator(cfg);
-        const sim::RunStats stats = simulator.run(*src);
+        const sim::RunStats stats =
+            runTiered(workload.name, 2 + round % 3, false, 12000, true,
+                      512u << (round % 4));
 
-        EXPECT_GE(stats.x86Retired, cfg.maxInsts) << workload.name;
+        EXPECT_GE(stats.x86Retired, 12000u) << workload.name;
         EXPECT_EQ(stats.verifyDetections, 0u) << workload.name;
         EXPECT_EQ(stats.corruptFrameCommits, 0u) << workload.name;
         expectTierAccountingBalances(stats);

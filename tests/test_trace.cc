@@ -13,6 +13,7 @@
 #include "trace/workload.hh"
 #include "uop/translator.hh"
 #include "x86/asmbuilder.hh"
+#include "testdir.hh"
 
 using namespace replay;
 using namespace replay::trace;
@@ -20,6 +21,7 @@ using x86::AsmBuilder;
 using x86::Cond;
 using x86::memAt;
 using x86::Reg;
+using testutil::testPath;
 
 TEST(TraceRecord, CapturesMemOpsAndRegWrites)
 {
@@ -232,7 +234,7 @@ TEST(TraceFile, RoundTripPreservesEveryField)
     const x86::Program prog = w.buildProgram(0);
     const auto reference = collectTrace(prog, 3000);
 
-    const std::string path = ::testing::TempDir() + "eon.rplt";
+    const std::string path = testPath("eon.rplt");
     TraceFileWriter::dumpProgram(prog, 3000, path);
 
     FileTraceSource src(path);
@@ -267,7 +269,7 @@ TEST(TraceFile, LookaheadAcrossFileBuffer)
 {
     const Workload &w = findWorkload("gzip");
     const x86::Program prog = w.buildProgram(0);
-    const std::string path = ::testing::TempDir() + "gzip.rplt";
+    const std::string path = testPath("gzip.rplt");
     TraceFileWriter::dumpProgram(prog, 2000, path);
 
     FileTraceSource src(path);
@@ -290,7 +292,7 @@ TEST(TraceFile, RingWraparoundDeliversIdenticalStream)
     const Workload &w = findWorkload("crafty");
     const x86::Program prog = w.buildProgram(0);
     const uint64_t total = uint64_t(TraceSource::LOOKAHEAD) * 7 + 123;
-    const std::string path = ::testing::TempDir() + "crafty_wrap.rplt";
+    const std::string path = testPath("crafty_wrap.rplt");
     TraceFileWriter::dumpProgram(prog, total, path);
 
     ExecutorTraceSource ref(prog, total);
@@ -325,7 +327,7 @@ TEST(TraceFile, RingWraparoundDeliversIdenticalStream)
 
 // ---------------------------------------------------------------------
 // Batched-read fault recovery: ferror is transient (retry), feof is
-// truncation, persistence quarantines the path for the session.
+// truncation, a persistent fault ends the stream with READ_ERROR.
 // ---------------------------------------------------------------------
 
 #include <filesystem>
@@ -340,7 +342,7 @@ std::string
 writeTrace(const char *name, uint64_t records)
 {
     const Workload &w = findWorkload("gzip");
-    const std::string path = ::testing::TempDir() + name;
+    const std::string path = testPath(name);
     TraceFileWriter::dumpProgram(w.buildProgram(0), records, path);
     return path;
 }
@@ -349,7 +351,6 @@ writeTrace(const char *name, uint64_t records)
 
 TEST(TraceFileFaults, TransientFaultsRetriedToFullStream)
 {
-    clearTraceQuarantine();
     const std::string path = writeTrace("transient.rplt", 1500);
 
     // Fault ~15% of batched read attempts: every one must be absorbed
@@ -369,13 +370,10 @@ TEST(TraceFileFaults, TransientFaultsRetriedToFullStream)
         << src.error().message;
     EXPECT_EQ(n, 1500u);
     EXPECT_GT(src.ioRetries(), 0u);
-    // A recovered trace is NOT quarantined.
-    EXPECT_FALSE(traceQuarantined(path));
 }
 
-TEST(TraceFileFaults, PersistentFaultReadsErrorAndQuarantines)
+TEST(TraceFileFaults, PersistentFaultReadsError)
 {
-    clearTraceQuarantine();
     const std::string path = writeTrace("persistent.rplt", 800);
 
     FileTraceSource src(path);
@@ -384,28 +382,26 @@ TEST(TraceFileFaults, PersistentFaultReadsErrorAndQuarantines)
         src.advance();
     EXPECT_EQ(src.error().kind, TraceError::Kind::READ_ERROR);
     EXPECT_EQ(src.ioRetries(), FileTraceSource::MAX_READ_RETRIES);
-    EXPECT_TRUE(traceQuarantined(path));
-    EXPECT_EQ(traceQuarantineSize(), 1u);
 
-    // Session quarantine: the next open fails fast, no I/O retries.
-    FileTraceSource again(path);
-    EXPECT_EQ(again.error().kind, TraceError::Kind::QUARANTINED);
-    EXPECT_TRUE(again.done());
-    EXPECT_EQ(again.ioRetries(), 0u);
-
-    clearTraceQuarantine();
+    // The failure belongs to that source alone: a fresh open of the
+    // same path reads the full stream.
     FileTraceSource clean(path);
+    uint64_t n = 0;
+    while (!clean.done()) {
+        clean.advance();
+        ++n;
+    }
     EXPECT_TRUE(clean.ok());
+    EXPECT_EQ(n, 800u);
 }
 
 TEST(TraceFileFaults, TruncationIsNotMistakenForReadError)
 {
-    clearTraceQuarantine();
     const std::string path = writeTrace("truncated.rplt", 600);
 
     // Chop mid-record: an honest feof short-read must surface as
     // TRUNCATED (valid prefix delivered), never as the retriable
-    // READ_ERROR — and must not waste retries or quarantine the path.
+    // READ_ERROR — and must not waste retries.
     const auto size = std::filesystem::file_size(path);
     ASSERT_TRUE(fault::FaultInjector::truncateFile(path, size / 2 + 7));
     FileTraceSource src(path);
@@ -418,5 +414,4 @@ TEST(TraceFileFaults, TruncationIsNotMistakenForReadError)
     EXPECT_GT(n, 0u);
     EXPECT_LT(n, 600u);
     EXPECT_EQ(src.ioRetries(), 0u);
-    EXPECT_FALSE(traceQuarantined(path));
 }

@@ -37,11 +37,13 @@
 #include "trace/tracev3.hh"
 #include "trace/workload.hh"
 #include "util/rng.hh"
+#include "testdir.hh"
 
 using namespace replay;
 using namespace replay::trace;
 using fault::FaultInjector;
 using Kind = TraceError::Kind;
+using testutil::testPath;
 
 namespace {
 
@@ -97,7 +99,6 @@ struct ReadResult
 ReadResult
 readV3(const std::string &path, V3SourceOptions opts = {})
 {
-    clearTraceQuarantine();
     ReadResult r;
     TraceV3Source src(path, opts);
     while (!src.done()) {
@@ -187,7 +188,7 @@ class TraceV3Corruption : public ::testing::Test
     static void
     SetUpTestSuite()
     {
-        path_ = new std::string(::testing::TempDir() + "matrix.rpl3");
+        path_ = new std::string(testPath("matrix.rpl3"));
         const Workload &w = findWorkload("gzip");
         V3Options opts;
         opts.chunkRecords = 1024;
@@ -216,11 +217,10 @@ class TraceV3Corruption : public ::testing::Test
     SetUp() override
     {
         spit(*path_, *pristine_);
-        clearTraceQuarantine();
     }
 
     /** The damaged file must yield a typed error and the exact valid
-     *  prefix — and corruption must never quarantine the path. */
+     *  prefix. */
     void
     expectReject(Kind kind, uint64_t prefix,
                  uint64_t offset = kNoOffsetCheck,
@@ -242,9 +242,6 @@ class TraceV3Corruption : public ::testing::Test
         if (chunk != kNoChunkCheck) {
             EXPECT_EQ(r.err.chunkIndex, chunk);
         }
-        EXPECT_FALSE(traceQuarantined(*path_))
-            << "corruption must not quarantine (only persistent "
-               "read errors do)";
     }
 
     /** The restored file must deliver the full pristine stream. */
@@ -514,7 +511,6 @@ TEST_F(TraceV3Corruption, BufferedPathRejectsIdentically)
     const uint64_t c1 = info_->chunks[1].offset;
     ASSERT_TRUE(FaultInjector::flipByteAt(*path_, c1 + v3::CHK_OFF_MAGIC));
     {
-        clearTraceQuarantine();
         TraceV3Source src(*path_, buffered);
         EXPECT_FALSE(src.usedMmap());
         uint64_t n = 0;
@@ -530,7 +526,6 @@ TEST_F(TraceV3Corruption, BufferedPathRejectsIdentically)
 
     ASSERT_TRUE(FaultInjector::flipByteAt(*path_, v3::HDR_OFF_MAGIC));
     {
-        clearTraceQuarantine();
         TraceV3Source src(*path_, buffered);
         EXPECT_EQ(src.error().kind, Kind::BAD_MAGIC);
         EXPECT_TRUE(src.done());
@@ -549,7 +544,7 @@ TEST(TraceV3Fuzz, RandomMutationsNeverCrashOrEscape)
     const Workload &w = findWorkload("gzip");
     const x86::Program prog = w.buildProgram(0);
     const uint64_t N = 900;
-    const std::string path = ::testing::TempDir() + "fuzz.rpl3";
+    const std::string path = testPath("fuzz.rpl3");
 
     V3Options raw_opts;
     raw_opts.chunkRecords = 128;
@@ -559,7 +554,6 @@ TEST(TraceV3Fuzz, RandomMutationsNeverCrashOrEscape)
 
     uint64_t want_digest = 0;
     {
-        clearTraceQuarantine();
         TraceV3Source src(path);
         want_digest = wire::streamDigest(src);
         ASSERT_TRUE(src.ok());
@@ -572,7 +566,6 @@ TEST(TraceV3Fuzz, RandomMutationsNeverCrashOrEscape)
         z.codec = V3Codec::ZLIB;
         TraceV3Writer::dumpProgram(prog, N, path, z);
         zlib_bytes = slurp(path);
-        clearTraceQuarantine();
         TraceV3Source src(path);
         EXPECT_EQ(wire::streamDigest(src), want_digest)
             << "zlib and raw codecs must digest identically";
@@ -595,7 +588,6 @@ TEST(TraceV3Fuzz, RandomMutationsNeverCrashOrEscape)
         }
         spit(path, bytes);
 
-        clearTraceQuarantine();
         TraceV3Source src(path);
         const uint64_t digest = wire::streamDigest(src);
         if (src.ok()) {
@@ -614,7 +606,6 @@ TEST(TraceV3Fuzz, RandomMutationsNeverCrashOrEscape)
     // Nearly the whole file is checksummed (the 4-byte reserved footer
     // word is the only uncovered span), so accepts are rare.
     EXPECT_GE(rejects, 490u) << accepts << " accepts";
-    clearTraceQuarantine();
 }
 
 // ---------------------------------------------------------------------
@@ -625,10 +616,9 @@ TEST(TraceV3RoundTrip, WriterReaderPreserveEveryField)
 {
     const Workload &w = findWorkload("eon");   // exercises FP records
     const x86::Program prog = w.buildProgram(0);
-    const std::string path = ::testing::TempDir() + "eon.rpl3";
+    const std::string path = testPath("eon.rpl3");
     TraceV3Writer::dumpProgram(prog, 3000, path);
 
-    clearTraceQuarantine();
     TraceV3Source src(path);
     ASSERT_TRUE(src.ok()) << src.error().describe();
     EXPECT_EQ(src.totalRecords(), 3000u);
@@ -644,9 +634,9 @@ TEST(TraceV3RoundTrip, ConvertedV2IsIdenticalForAllFourteenWorkloads)
         SCOPED_TRACE(w.name);
         const x86::Program prog = w.buildProgram(0);
         const std::string v2_path =
-            ::testing::TempDir() + w.name + ".rplt";
+            testPath(w.name + ".rplt");
         const std::string v3_path =
-            ::testing::TempDir() + w.name + ".rpl3";
+            testPath(w.name + ".rpl3");
         TraceFileWriter::dumpProgram(prog, N, v2_path);
         convertV2ToV3(v2_path, v3_path);
 
@@ -659,7 +649,6 @@ TEST(TraceV3RoundTrip, ConvertedV2IsIdenticalForAllFourteenWorkloads)
         EXPECT_EQ(wire::streamDigest(v2), want);
         ASSERT_TRUE(v2.ok());
 
-        clearTraceQuarantine();
         TraceV3Source v3src(v3_path);
         EXPECT_EQ(wire::streamDigest(v3src), want);
         ASSERT_TRUE(v3src.ok()) << v3src.error().describe();
@@ -673,8 +662,8 @@ TEST(TraceV3RoundTrip, ZlibAndRawCodecsDeliverTheSameStream)
         GTEST_SKIP() << "built without zlib";
     const Workload &w = findWorkload("vortex");
     const x86::Program prog = w.buildProgram(0);
-    const std::string raw_path = ::testing::TempDir() + "codec_raw.rpl3";
-    const std::string z_path = ::testing::TempDir() + "codec_zlib.rpl3";
+    const std::string raw_path = testPath("codec_raw.rpl3");
+    const std::string z_path = testPath("codec_zlib.rpl3");
     V3Options raw_opts;
     raw_opts.codec = V3Codec::RAW;
     V3Options z_opts;
@@ -682,7 +671,6 @@ TEST(TraceV3RoundTrip, ZlibAndRawCodecsDeliverTheSameStream)
     TraceV3Writer::dumpProgram(prog, 4000, raw_path, raw_opts);
     TraceV3Writer::dumpProgram(prog, 4000, z_path, z_opts);
 
-    clearTraceQuarantine();
     TraceV3Source a(raw_path), b(z_path);
     expectIdenticalStreams(b, a);
     EXPECT_TRUE(a.ok());
@@ -697,10 +685,9 @@ TEST(TraceV3RoundTrip, MmapAndBufferedDeliverIdenticalStreams)
 {
     const Workload &w = findWorkload("parser");
     const x86::Program prog = w.buildProgram(0);
-    const std::string path = ::testing::TempDir() + "paths.rpl3";
+    const std::string path = testPath("paths.rpl3");
     TraceV3Writer::dumpProgram(prog, 2500, path);
 
-    clearTraceQuarantine();
     V3SourceOptions mm;
     mm.preferMmap = true;
     V3SourceOptions buf;
@@ -717,7 +704,7 @@ TEST(TraceV3RoundTrip, MmapAndBufferedDeliverIdenticalStreams)
 
 TEST(TraceV3RoundTrip, EmptyContainerRoundTrips)
 {
-    const std::string path = ::testing::TempDir() + "empty.rpl3";
+    const std::string path = testPath("empty.rpl3");
     {
         TraceV3Writer writer(path);
         const TraceError err = writer.close();
@@ -728,7 +715,6 @@ TEST(TraceV3RoundTrip, EmptyContainerRoundTrips)
     EXPECT_EQ(info.recordCount, 0u);
     EXPECT_TRUE(info.chunks.empty());
 
-    clearTraceQuarantine();
     TraceV3Source src(path);
     EXPECT_TRUE(src.ok()) << src.error().describe();
     EXPECT_TRUE(src.done());
@@ -741,10 +727,9 @@ TEST(TraceV3RoundTrip, LimitRecordsCapsThePresentedStream)
 {
     const Workload &w = findWorkload("bzip2");
     const x86::Program prog = w.buildProgram(0);
-    const std::string path = ::testing::TempDir() + "limit.rpl3";
+    const std::string path = testPath("limit.rpl3");
     TraceV3Writer::dumpProgram(prog, 3000, path);
 
-    clearTraceQuarantine();
     V3SourceOptions opts;
     opts.limitRecords = 700;
     TraceV3Source src(path, opts);
@@ -763,12 +748,11 @@ TEST(TraceV3Open, SniffDispatchesV2AndV3AndRejectsGarbage)
     ExecutorTraceSource live(prog, N);
     const uint64_t want = wire::streamDigest(live);
 
-    const std::string v2_path = ::testing::TempDir() + "sniff.rplt";
+    const std::string v2_path = testPath("sniff.rplt");
     TraceFileWriter::dumpProgram(prog, N, v2_path);
-    const std::string v3_path = ::testing::TempDir() + "sniff.rpl3";
+    const std::string v3_path = testPath("sniff.rpl3");
     TraceV3Writer::dumpProgram(prog, N, v3_path);
 
-    clearTraceQuarantine();
     TraceError err;
     auto v2 = openTraceFile(v2_path, &err);
     ASSERT_NE(v2, nullptr) << err.describe();
@@ -784,7 +768,7 @@ TEST(TraceV3Open, SniffDispatchesV2AndV3AndRejectsGarbage)
     ExecutorTraceSource head(prog, 300);
     EXPECT_EQ(wire::streamDigest(*capped), wire::streamDigest(head));
 
-    const std::string junk = ::testing::TempDir() + "junk.bin";
+    const std::string junk = testPath("junk.bin");
     spit(junk, {'h', 'e', 'l', 'l', 'o', ' ', 'f', 's'});
     auto bad = openTraceFile(junk, &err);
     EXPECT_EQ(bad, nullptr);
@@ -795,7 +779,7 @@ TEST(TraceV3Open, SniffDispatchesV2AndV3AndRejectsGarbage)
 TEST(TraceV3Inspect, IndexTilesTheFileExactly)
 {
     const Workload &w = findWorkload("crafty");
-    const std::string path = ::testing::TempDir() + "inspect.rpl3";
+    const std::string path = testPath("inspect.rpl3");
     V3Options opts;
     opts.chunkRecords = 256;
     TraceV3Writer::dumpProgram(w.buildProgram(0), 1000, path, opts);
@@ -862,7 +846,7 @@ TEST(TraceV3Seek, AgreesWithSequentialReplayAtEveryBoundary)
     const Workload &w = findWorkload("crafty");
     const x86::Program prog = w.buildProgram(0);
     const uint64_t N = 2700;
-    const std::string path = ::testing::TempDir() + "seek.rpl3";
+    const std::string path = testPath("seek.rpl3");
     V3Options opts;
     opts.chunkRecords = 512;
     TraceV3Writer::dumpProgram(prog, N, path, opts);
@@ -878,7 +862,6 @@ TEST(TraceV3Seek, AgreesWithSequentialReplayAtEveryBoundary)
         so.preferMmap = prefer_mmap;
         for (const uint64_t t : targets) {
             SCOPED_TRACE(t);
-            clearTraceQuarantine();
             TraceV3Source src(path, so);
             ASSERT_TRUE(src.ok()) << src.error().describe();
             expectSeekTail(src, t, ref);
@@ -891,13 +874,12 @@ TEST(TraceV3Seek, ReSeekOnTheSameSourceForwardAndBackward)
     const Workload &w = findWorkload("gzip");
     const x86::Program prog = w.buildProgram(0);
     const uint64_t N = 2048;
-    const std::string path = ::testing::TempDir() + "reseek.rpl3";
+    const std::string path = testPath("reseek.rpl3");
     V3Options opts;
     opts.chunkRecords = 256;
     TraceV3Writer::dumpProgram(prog, N, path, opts);
     const auto ref = collectTrace(prog, N);
 
-    clearTraceQuarantine();
     TraceV3Source src(path);
     ASSERT_TRUE(src.ok());
 
@@ -916,7 +898,7 @@ TEST(TraceV3Seek, ResumesAfterTransientFaultAtChunkBoundary)
     const Workload &w = findWorkload("parser");
     const x86::Program prog = w.buildProgram(0);
     const uint64_t N = 2048;
-    const std::string path = ::testing::TempDir() + "seekfault.rpl3";
+    const std::string path = testPath("seekfault.rpl3");
     V3Options opts;
     opts.chunkRecords = 512;
     TraceV3Writer::dumpProgram(prog, N, path, opts);
@@ -924,7 +906,6 @@ TEST(TraceV3Seek, ResumesAfterTransientFaultAtChunkBoundary)
 
     for (const bool prefer_mmap : {true, false}) {
         SCOPED_TRACE(prefer_mmap ? "mmap" : "buffered");
-        clearTraceQuarantine();
         V3SourceOptions so;
         so.preferMmap = prefer_mmap;
         TraceV3Source src(path, so);
@@ -943,25 +924,24 @@ TEST(TraceV3Seek, ResumesAfterTransientFaultAtChunkBoundary)
         });
         expectSeekTail(src, 1536, ref);
         EXPECT_EQ(src.ioRetries(), 1u);
-        EXPECT_FALSE(traceQuarantined(path));
     }
 }
 
 // ---------------------------------------------------------------------
-// Fault injection: transient retry, persistent quarantine (v2 parity)
+// Fault injection: transient retry, persistent READ_ERROR (v2 parity),
+// and a mapped file that shrinks while open
 // ---------------------------------------------------------------------
 
 TEST(TraceV3Faults, TransientFaultsRetriedToFullStream)
 {
     const Workload &w = findWorkload("gzip");
-    const std::string path = ::testing::TempDir() + "v3transient.rpl3";
+    const std::string path = testPath("v3transient.rpl3");
     V3Options opts;
     opts.chunkRecords = 64;     // many chunk loads => many fault draws
     TraceV3Writer::dumpProgram(w.buildProgram(0), 1500, path, opts);
 
     for (const bool prefer_mmap : {true, false}) {
         SCOPED_TRACE(prefer_mmap ? "mmap" : "buffered");
-        clearTraceQuarantine();
         V3SourceOptions so;
         so.preferMmap = prefer_mmap;
         TraceV3Source src(path, so);
@@ -975,15 +955,13 @@ TEST(TraceV3Faults, TransientFaultsRetriedToFullStream)
         EXPECT_TRUE(src.ok()) << src.error().describe();
         EXPECT_EQ(n, 1500u);
         EXPECT_GT(src.ioRetries(), 0u);
-        EXPECT_FALSE(traceQuarantined(path));
     }
 }
 
-TEST(TraceV3Faults, PersistentFaultReadsErrorAndQuarantines)
+TEST(TraceV3Faults, PersistentFaultReadsError)
 {
-    clearTraceQuarantine();
     const Workload &w = findWorkload("gzip");
-    const std::string path = ::testing::TempDir() + "v3persistent.rpl3";
+    const std::string path = testPath("v3persistent.rpl3");
     TraceV3Writer::dumpProgram(w.buildProgram(0), 800, path);
 
     TraceV3Source src(path);
@@ -994,17 +972,54 @@ TEST(TraceV3Faults, PersistentFaultReadsErrorAndQuarantines)
     EXPECT_EQ(src.ioRetries(), TraceV3Source::MAX_READ_RETRIES);
     EXPECT_EQ(src.error().path, path);
     EXPECT_EQ(src.error().chunkIndex, 0);
-    EXPECT_TRUE(traceQuarantined(path));
 
-    // Session quarantine: the next open fails fast.
-    TraceV3Source again(path);
-    EXPECT_EQ(again.error().kind, Kind::QUARANTINED);
-    EXPECT_TRUE(again.done());
-    EXPECT_EQ(again.ioRetries(), 0u);
+    // The failure belongs to that source alone: a fresh open of the
+    // same path reads the full stream.
+    const ReadResult clean = readV3(path);
+    EXPECT_TRUE(clean.err.ok()) << clean.err.describe();
+    EXPECT_EQ(clean.records, 800u);
+}
 
-    clearTraceQuarantine();
-    TraceV3Source clean(path);
-    EXPECT_TRUE(clean.ok());
+TEST(TraceV3Faults, ShrinkWhileOpenIsTruncatedNotSigbus)
+{
+    // A mapped container cut short after it was opened: touching a
+    // mapped page past the new end of file would raise SIGBUS, so the
+    // reader must notice the shrink before the chunk is read out of
+    // the map and end the stream with TRUNCATED plus the valid prefix.
+    const Workload &w = findWorkload("gzip");
+    const std::string path = testPath("shrink.rpl3");
+    V3Options opts;
+    opts.chunkRecords = 256;
+    opts.codec = V3Codec::RAW;
+    TraceV3Writer::dumpProgram(w.buildProgram(0), 2048, path, opts);
+    const ReadResult ref = readV3(path);
+    ASSERT_TRUE(ref.err.ok()) << ref.err.describe();
+    const V3Info info = inspectV3(path);
+    ASSERT_TRUE(info.ok()) << info.error.describe();
+    ASSERT_EQ(info.chunks.size(), 8u);
+
+    TraceV3Source src(path);
+    ASSERT_TRUE(src.ok()) << src.error().describe();
+    ASSERT_TRUE(src.usedMmap());
+    // Consume the first chunk, then cut the file inside chunk 3.
+    std::vector<uint32_t> pcs;
+    for (unsigned i = 0; i < 256; ++i) {
+        ASSERT_FALSE(src.done());
+        pcs.push_back(src.peek()->pc);
+        src.advance();
+    }
+    ASSERT_TRUE(FaultInjector::truncateFile(path,
+                                            info.chunks[3].offset + 40));
+    while (!src.done()) {
+        pcs.push_back(src.peek()->pc);
+        src.advance();
+    }
+    EXPECT_EQ(src.error().kind, Kind::TRUNCATED)
+        << src.error().describe();
+    EXPECT_EQ(src.error().chunkIndex, 3);
+    EXPECT_EQ(src.consumed(), 3u * 256u);
+    ASSERT_LE(pcs.size(), ref.pcs.size());
+    EXPECT_TRUE(std::equal(pcs.begin(), pcs.end(), ref.pcs.begin()));
 }
 
 // ---------------------------------------------------------------------
@@ -1015,7 +1030,7 @@ TEST(TraceV3Faults, PersistentFaultReadsErrorAndQuarantines)
 TEST(TraceV3Diagnostics, ErrorsCarryPathOffsetAndChunk)
 {
     const Workload &w = findWorkload("gzip");
-    const std::string path = ::testing::TempDir() + "diag.rpl3";
+    const std::string path = testPath("diag.rpl3");
     V3Options opts;
     opts.chunkRecords = 512;
     opts.codec = V3Codec::RAW;
@@ -1028,7 +1043,6 @@ TEST(TraceV3Diagnostics, ErrorsCarryPathOffsetAndChunk)
         info.chunks[1].offset + v3::CHUNK_HEADER_BYTES;
     ASSERT_TRUE(FaultInjector::flipByteAt(path, payload_off + 37));
 
-    clearTraceQuarantine();
     TraceV3Source src(path);
     while (!src.done())
         src.advance();
@@ -1048,9 +1062,8 @@ TEST(TraceV3Diagnostics, ErrorsCarryPathOffsetAndChunk)
 
 TEST(TraceV3Diagnostics, V2ErrorsCarryPathAndByteOffset)
 {
-    clearTraceQuarantine();
     const Workload &w = findWorkload("gzip");
-    const std::string path = ::testing::TempDir() + "diag.rplt";
+    const std::string path = testPath("diag.rplt");
     TraceFileWriter::dumpProgram(w.buildProgram(0), 600, path);
     const auto size = std::filesystem::file_size(path);
     ASSERT_TRUE(FaultInjector::truncateFile(path, size / 2 + 7));
@@ -1078,7 +1091,7 @@ TEST(TraceV3Diagnostics, V2ErrorsCarryPathAndByteOffset)
 
 TEST(TraceV3Corpus, ManifestRoundTripsAndPinsDigests)
 {
-    const std::string dir = ::testing::TempDir();
+    const std::string dir = testPath("");
     const std::string manifest = dir + "corpus_t.json";
     std::vector<CorpusEntry> entries;
     for (const char *name : {"gzip", "excel"}) {
@@ -1100,7 +1113,6 @@ TEST(TraceV3Corpus, ManifestRoundTripsAndPinsDigests)
     const TraceError werr = writeCorpusManifest(manifest, entries);
     ASSERT_TRUE(werr.ok()) << werr.describe();
 
-    clearTraceQuarantine();
     const TraceCorpus corpus = TraceCorpus::load(manifest);
     ASSERT_TRUE(corpus.ok()) << corpus.error().describe();
     ASSERT_EQ(corpus.size(), entries.size());

@@ -173,7 +173,6 @@ runIngestPass(const std::vector<trace::TraceRecord> &records,
     }
     double best = 0;
     for (int pass = 0; pass < 4; ++pass) {
-        trace::clearTraceQuarantine();
         trace::TraceV3Source src(path);
         const double t0 = now();
         while (!src.done())
