@@ -12,9 +12,12 @@
  *   3. degradation: performance degrades gracefully — faulty rePLay+Opt
  *                   never drops below the conventional ICache baseline.
  *
- * A second phase damages persisted trace files (truncation, random bit
- * flips) and checks the container degrades to its valid prefix instead
- * of killing the simulator.  Exits non-zero on any violation.
+ * A second phase damages persisted trace containers and checks each
+ * damage is reported with its type instead of killing the simulator: a
+ * container cut off mid-write is rejected whole (TRUNCATED, zero
+ * records) and the simulator completes on the empty stream; a bit flip
+ * inside a chunk payload fails that chunk's checksum and the chunks
+ * before it are still delivered.  Exits non-zero on any violation.
  */
 
 #include "common.hh"
@@ -22,16 +25,16 @@
 #include <filesystem>
 
 #include "fault/faultinjector.hh"
-#include "trace/tracefile.hh"
+#include "trace/tracev3.hh"
 
 using namespace replay;
 using fault::FaultInjector;
 using sim::Machine;
 using sim::RunStats;
 using sim::SimConfig;
-using trace::FileTraceSource;
 using trace::TraceError;
-using trace::TraceFileWriter;
+using trace::TraceV3Source;
+using trace::TraceV3Writer;
 
 namespace {
 
@@ -131,25 +134,34 @@ main()
     std::printf("%s\n", table.render().c_str());
     bench::throughputFooter(grid.result);
 
-    // ---- phase 2: damaged trace files --------------------------------
+    // ---- phase 2: damaged trace containers ---------------------------
     std::printf("Trace-container robustness:\n");
     const uint64_t dump_insts = std::min<uint64_t>(insts, 20000);
+    trace::V3Options opts;
+    opts.chunkRecords = uint32_t(std::max<uint64_t>(1, dump_insts / 8));
     for (const char *name : {"gzip", "eon", "excel"}) {
         const auto &w = trace::findWorkload(name);
         const std::string path = (std::filesystem::temp_directory_path() /
-                                  (std::string(name) + ".campaign.rplt"))
+                                  (std::string(name) + ".campaign.rpl3"))
                                      .string();
-        TraceFileWriter::dumpProgram(w.buildProgram(0), dump_insts, path);
-        const uint64_t size = std::filesystem::file_size(path);
+        TraceV3Writer::dumpProgram(w.buildProgram(0), dump_insts, path,
+                                   opts);
+        const trace::V3Info info = trace::inspectV3(path);
+        const bool recorded = info.ok() && info.chunks.size() >= 2;
+        check(recorded, std::string(name) + ": container did not record");
+        if (!recorded)
+            continue;
 
-        // Truncation: the reader must surface the valid prefix and the
-        // simulator must complete on it.
-        FaultInjector::truncateFile(path, size / 2);
-        FileTraceSource truncated(path);
+        // Truncation: a container cut off mid-write has no trustworthy
+        // index, so it is rejected whole, and the simulator must still
+        // complete on the empty stream.
+        FaultInjector::truncateFile(path, info.fileBytes / 2);
+        TraceV3Source truncated(path);
         SimConfig cfg = SimConfig::make(Machine::RPO);
         const RunStats r = sim::simulateTrace(cfg, truncated, name);
-        check(r.x86Retired > 0 && r.x86Retired < dump_insts,
-              std::string(name) + ": truncated trace not prefix-read");
+        check(r.x86Retired == 0,
+              std::string(name) + ": truncated container delivered "
+                                  "records");
         check(truncated.error().kind == TraceError::Kind::TRUNCATED,
               std::string(name) + ": truncation not reported");
         std::printf("  %-6s truncated  -> %llu/%llu insts, error=%s\n",
@@ -157,19 +169,27 @@ main()
                     (unsigned long long)dump_insts,
                     trace::traceErrorKindName(truncated.error().kind));
 
-        // Bit flips: record checksums must stop the stream.
-        TraceFileWriter::dumpProgram(w.buildProgram(0), dump_insts, path);
-        FaultInjector::corruptFileBytes(path, 99, 0.0002, 20);
-        FileTraceSource flipped(path);
+        // Bit flip inside a later chunk's payload: that chunk's checksum
+        // must stop the stream after exactly the chunks before it.
+        TraceV3Writer::dumpProgram(w.buildProgram(0), dump_insts, path,
+                                   opts);
+        const trace::V3Info::Chunk &victim =
+            info.chunks[info.chunks.size() / 2];
+        FaultInjector::flipByteAt(path,
+                                  victim.offset +
+                                      trace::v3::CHUNK_HEADER_BYTES +
+                                      victim.payloadBytes / 2);
+        TraceV3Source flipped(path);
         uint64_t n = 0;
         while (!flipped.done()) {
             flipped.advance();
             ++n;
         }
-        check(flipped.error().kind == TraceError::Kind::BAD_CHECKSUM ||
-                  flipped.error().kind == TraceError::Kind::TRUNCATED,
+        check(flipped.error().kind == TraceError::Kind::BAD_CHECKSUM,
               std::string(name) + ": corruption not caught");
-        std::printf("  %-6s bit-flips  -> %llu/%llu records, error=%s\n",
+        check(n > 0 && n == victim.firstRecord,
+              std::string(name) + ": valid prefix not delivered");
+        std::printf("  %-6s bit-flip   -> %llu/%llu records, error=%s\n",
                     name, (unsigned long long)n,
                     (unsigned long long)dump_insts,
                     trace::traceErrorKindName(flipped.error().kind));

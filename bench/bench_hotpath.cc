@@ -31,8 +31,8 @@
 #include "opt/passes.hh"
 #include "opt/remapper.hh"
 #include "sim/simulator.hh"
-#include "trace/tracefile.hh"
 #include "trace/tracer.hh"
+#include "trace/tracev3.hh"
 #include "trace/workload.hh"
 #include "x86/executor.hh"
 
@@ -284,19 +284,19 @@ BM_OptPassDce(benchmark::State &state)
 }
 BENCHMARK(BM_OptPassDce);
 
-/** Trace-file streaming with batched block decode (records/s). */
+/** Trace-container streaming with chunked decode (records/s). */
 static void
 BM_TraceFileStream(benchmark::State &state)
 {
-    const std::string path = "/tmp/bench_hotpath_stream.rplt";
+    const std::string path = "/tmp/bench_hotpath_stream.rpl3";
     static const uint64_t written = [&] {
         const auto &w = trace::findWorkload("gzip");
-        return trace::TraceFileWriter::dumpProgram(w.buildProgram(0),
-                                                   50000, path);
+        return trace::TraceV3Writer::dumpProgram(w.buildProgram(0),
+                                                 50000, path);
     }();
     uint64_t records = 0;
     for (auto _ : state) {
-        trace::FileTraceSource src(path);
+        trace::TraceV3Source src(path);
         while (!src.done()) {
             benchmark::DoNotOptimize(src.peek());
             src.advance();

@@ -1,14 +1,11 @@
 /**
  * @file
- * Trace ingest bandwidth: v2 flat container (batched fread + per-record
- * FNV) vs the v3 chunked container on its buffered and mmap read paths,
- * raw and zlib codecs.
+ * Trace ingest bandwidth of the chunked container on its buffered and
+ * mmap read paths, raw and zlib codecs.
  *
- * This is the microbench behind the v3 design claim (DESIGN.md): the
- * word-at-a-time chunk checksum plus the zero-copy mmap decode must
- * ingest at least 2x the records/s of the v2 fread path.  The same
- * number feeds the perfgate `trace_ingest_mbps` metric; EXPERIMENTS.md
- * carries a measured before/after table.
+ * The raw mmap row is the number perfgate gates as
+ * `trace_ingest_mbps`; EXPERIMENTS.md carries a measured table.  Every
+ * row must deliver the full stream (a short read is fatal).
  *
  * REPLAY_SIM_INSTS overrides the per-container record count.
  */
@@ -24,7 +21,6 @@
 #include <vector>
 
 #include "trace/chunk.hh"
-#include "trace/tracefile.hh"
 #include "trace/tracer.hh"
 #include "trace/tracev3.hh"
 #include "trace/workload.hh"
@@ -90,7 +86,6 @@ main()
     const auto prog = w.buildProgram(0);
     const std::string dir =
         std::filesystem::temp_directory_path().string() + "/";
-    const std::string v2_path = dir + "bench_ingest.rplt";
     const std::string raw_path = dir + "bench_ingest_raw.rpl3";
     const std::string zlib_path = dir + "bench_ingest_zlib.rpl3";
 
@@ -99,7 +94,6 @@ main()
                 (unsigned long long)records, w.name.c_str(),
                 trace::wire::recordWireBytes());
 
-    trace::TraceFileWriter::dumpProgram(prog, records, v2_path);
     trace::V3Options raw_opts;
     raw_opts.codec = trace::V3Codec::RAW;
     trace::TraceV3Writer::dumpProgram(prog, records, raw_path, raw_opts);
@@ -114,11 +108,6 @@ main()
     };
 
     std::vector<Row> rows;
-    rows.push_back(measure(
-        "v2 fread", records, file_bytes(v2_path), [&] {
-            return std::unique_ptr<trace::TraceSource>(
-                new trace::FileTraceSource(v2_path));
-        }));
     trace::V3SourceOptions buffered;
     buffered.preferMmap = false;
     rows.push_back(measure(
@@ -146,14 +135,9 @@ main()
                     row.recordsPerSec, row.mbPerSec,
                     (unsigned long long)row.fileBytes);
 
-    const double ratio = rows[2].recordsPerSec / rows[0].recordsPerSec;
-    std::printf("\nv3 mmap / v2 fread: %.2fx %s\n", ratio,
-                ratio >= 2.0 ? "(meets the >=2x ingest target)"
-                             : "(BELOW the >=2x ingest target)");
-
-    for (const std::string &p : {v2_path, raw_path, zlib_path}) {
+    for (const std::string &p : {raw_path, zlib_path}) {
         std::error_code ec;
         std::filesystem::remove(p, ec);
     }
-    return ratio >= 2.0 ? 0 : 1;
+    return 0;
 }

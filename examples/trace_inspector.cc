@@ -12,7 +12,7 @@
 #include <cstdlib>
 
 #include "sim/simulator.hh"
-#include "trace/tracefile.hh"
+#include "trace/tracev3.hh"
 #include "trace/workload.hh"
 #include "x86/disasm.hh"
 
@@ -27,14 +27,14 @@ main(int argc, char **argv)
 
     const auto &w = trace::findWorkload(name);
     const auto prog = w.buildProgram(0);
-    const std::string path = "/tmp/" + name + ".rplt";
-    trace::TraceFileWriter::dumpProgram(prog, insts, path);
+    const std::string path = "/tmp/" + name + ".rpl3";
+    trace::TraceV3Writer::dumpProgram(prog, insts, path);
     std::printf("captured %llu instructions of %s to %s\n\n",
                 (unsigned long long)insts, name.c_str(), path.c_str());
 
     // Inspect the first records, the way the paper's trace reader
     // disassembles raw instruction data (§5.1.1).
-    trace::FileTraceSource src(path);
+    trace::TraceV3Source src(path);
     std::printf("first 12 records:\n");
     for (unsigned i = 0; i < 12; ++i) {
         const trace::TraceRecord *rec = src.peek();
@@ -55,7 +55,7 @@ main(int argc, char **argv)
     }
 
     // Replay the rest of the file through the optimizing machine.
-    trace::FileTraceSource replay_src(path);
+    trace::TraceV3Source replay_src(path);
     const auto stats = sim::simulateTrace(
         sim::SimConfig::make(sim::Machine::RPO), replay_src, name);
     std::printf("\nreplayed under RPO: IPC %.3f, %.0f%% coverage, "

@@ -31,12 +31,12 @@ else
     # (nondeterminism).  Gated metrics: sweep insts/s, engine frames/s,
     # and — since the SoA slab IR — pass-level optimizer opt-uops/s
     # (explore the same datapath interactively with the BM_Opt* benches
-    # in bench/bench_hotpath.cc), plus v3 mmap trace-ingest MB/s since
-    # the v3 container (full v2/v3 table: bench/bench_trace_ingest).  The checked-in baseline is the
-    # median of several runs, so the 25% floor absorbs machine noise
-    # without hiding real regressions.  Skip with
-    # REPLAY_SKIP_PERFGATE=1 (e.g. on heavily loaded or throttled
-    # machines).
+    # in bench/bench_hotpath.cc), plus mmap trace-ingest MB/s (full
+    # buffered/mmap/zlib table: bench/bench_trace_ingest).  The
+    # checked-in baseline is the median of several runs, so the 25%
+    # floor absorbs machine noise without hiding real regressions.
+    # Skip with REPLAY_SKIP_PERFGATE=1 (e.g. on heavily loaded or
+    # throttled machines).
     "$BUILD/tools/perfgate" --check \
         --baseline bench/BENCH_hotpath.baseline.json \
         --out "$BUILD/BENCH_hotpath.json"
@@ -74,8 +74,9 @@ else
     # matrix and the 500-iteration random-mutation fuzz smoke feed
     # deliberately damaged containers through the mmap and buffered
     # decode paths, exactly where a bounds bug would hide from the
-    # functional checks; the round-trip tests pin v2->v3 stream
-    # equivalence for all 14 workloads.  Skip with
+    # functional checks; the round-trip tests pin recorded == live
+    # stream digests for all 14 workloads, and the simulator must
+    # complete on a chunk-damaged container's valid prefix.  Skip with
     # REPLAY_SKIP_TRACEV3=1 (the normal-config run in the full suite
     # above still covers the functional half).
     cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_tracev3

@@ -1,22 +1,20 @@
 /**
  * @file
- * Shared on-disk wire codec for trace containers (v2 and v3).
+ * On-disk wire codec for the trace container (trace/tracev3.hh).
  *
- * Every persisted trace format encodes TraceRecords the same way: each
- * field written explicitly and little-endian via fixed-width integers,
- * so files are portable across compilers (no struct memcpy).  This
- * header is the single home of that codec plus the two checksum
- * primitives the containers build on:
+ * The container encodes TraceRecords field by field, little-endian via
+ * fixed-width integers, so files are portable across compilers (no
+ * struct memcpy).  This header is the single home of that codec plus
+ * the two checksum primitives the container builds on:
  *
- *   - fnv1a32()      — byte-wise FNV-1a.  The v2 per-record guard and
- *                      every header/index checksum; byte-wise because
- *                      the checksummed spans are small and the value
- *                      is part of the frozen v2 format.
+ *   - fnv1a32()      — byte-wise FNV-1a.  The header and index
+ *                      checksums; byte-wise because the checksummed
+ *                      spans are small and the value is part of the
+ *                      frozen format.
  *   - chunkChecksum()— word-at-a-time FNV-1a64 folded to 32 bits.  The
- *                      v3 per-chunk guard: processing 8 bytes per
+ *                      per-chunk guard: processing 8 bytes per
  *                      multiply makes integrity checking ~8x cheaper
- *                      per byte, which is what lets the v3 ingest path
- *                      beat v2's per-record checksumming.
+ *                      per byte than a byte-wise FNV.
  *
  * The load/store helpers compile to single unaligned moves on
  * little-endian hosts and fall back to byte composition elsewhere, so
@@ -171,7 +169,7 @@ struct Decoder
     }
 };
 
-/** Byte-wise FNV-1a32 — the frozen v2 per-record/header checksum. */
+/** Byte-wise FNV-1a32 — the frozen header/index checksum. */
 inline uint32_t
 fnv1a32(const uint8_t *buf, size_t len)
 {
@@ -225,9 +223,9 @@ size_t recordWireBytes();
 
 /**
  * FNV-1a64 over the canonical record encoding — the container-
- * independent identity of a record stream.  A v2 file, its v3
- * conversion, and the live executor all digest identically, which is
- * what lets the corpus manifest pin artifacts across formats.
+ * independent identity of a record stream.  A recorded container
+ * (either codec, any chunk size) and the live executor digest
+ * identically, which is what lets the corpus manifest pin artifacts.
  */
 uint64_t streamDigest(TraceSource &src, uint64_t max_records = 0);
 

@@ -7,8 +7,8 @@
  * module is our equivalent: a `corpus.json` manifest mapping each
  * (workload, hot-spot) pair to an on-disk trace container, pinned by
  * record count and a container-independent stream digest
- * (wire::streamDigest — a v2 file, its v3 conversion, and the live
- * synthesizer all digest identically).
+ * (wire::streamDigest — a recorded container and the live synthesizer
+ * digest identically).
  *
  * Consumers (sweep, replaybench, difforacle) resolve traces through
  * TraceCorpus::find(): a hit replays the recorded container, a miss
@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/tracefile.hh"
+#include "trace/tracev3.hh"
 
 namespace replay::trace {
 

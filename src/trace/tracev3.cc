@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -23,6 +22,45 @@
 #endif
 
 namespace replay::trace {
+
+std::string
+TraceError::describe() const
+{
+    std::string out = traceErrorKindName(kind);
+    out += ": ";
+    out += message;
+    if (!path.empty()) {
+        out += " [";
+        out += path;
+        out += " @byte " + std::to_string(byteOffset);
+        if (chunkIndex >= 0)
+            out += " chunk " + std::to_string(chunkIndex);
+        out += "]";
+    }
+    return out;
+}
+
+const char *
+traceErrorKindName(TraceError::Kind kind)
+{
+    switch (kind) {
+      case TraceError::Kind::NONE:            return "none";
+      case TraceError::Kind::OPEN_FAILED:     return "open_failed";
+      case TraceError::Kind::SHORT_HEADER:    return "short_header";
+      case TraceError::Kind::BAD_MAGIC:       return "bad_magic";
+      case TraceError::Kind::BAD_VERSION:     return "bad_version";
+      case TraceError::Kind::BAD_RECORD_SIZE: return "bad_record_size";
+      case TraceError::Kind::TRUNCATED:       return "truncated";
+      case TraceError::Kind::BAD_CHECKSUM:    return "bad_checksum";
+      case TraceError::Kind::WRITE_FAILED:    return "write_failed";
+      case TraceError::Kind::FLUSH_FAILED:    return "flush_failed";
+      case TraceError::Kind::READ_ERROR:      return "read_error";
+      case TraceError::Kind::BAD_CHUNK:       return "bad_chunk";
+      case TraceError::Kind::BAD_INDEX:       return "bad_index";
+      case TraceError::Kind::BAD_CODEC:       return "bad_codec";
+    }
+    return "?";
+}
 
 const char *
 v3CodecName(V3Codec codec)
@@ -161,8 +199,7 @@ parseContainer(const std::string &path, uint64_t file_bytes,
 
     // Footer: a file that ends before (or inside) it was cut off
     // mid-write — the chunks may be fine, but without a trustworthy
-    // index the container is TRUNCATED, same as a v2 file that ends
-    // inside a record.
+    // index the whole container is TRUNCATED.
     if (file_bytes < v3::HEADER_BYTES + v3::FOOTER_BYTES)
         return fail(Kind::TRUNCATED,
                     "trace file '" + path + "' ends before its footer",
@@ -544,10 +581,7 @@ TraceV3Source::openAndValidate(const std::string &path)
     const uint64_t file_bytes = uint64_t(end);
 
 #if defined(REPLAY_HAVE_MMAP)
-    const bool no_mmap_env =
-        std::getenv("REPLAY_TRACEV3_NO_MMAP") != nullptr;
-    if (opts_.preferMmap && !no_mmap_env &&
-        file_bytes >= v3::HEADER_BYTES) {
+    if (opts_.preferMmap && file_bytes >= v3::HEADER_BYTES) {
         const int fd = ::open(path.c_str(), O_RDONLY);
         if (fd >= 0) {
             void *addr = mmap(nullptr, size_t(file_bytes), PROT_READ,
@@ -803,34 +837,8 @@ TraceV3Source::done()
     return locate(consumed_) == nullptr;
 }
 
-bool
-TraceV3Source::seekToRecord(uint64_t n)
-{
-    if (!error_.ok())
-        return false;
-    const uint64_t target = std::min(n, effTotal_);
-
-    // Drop the decoded window and point the loader at the chunk owning
-    // the target; chunks before it are never touched.
-    for (DecodedChunk &c : window_)
-        pool_.push_back(std::move(c.recs));
-    window_.clear();
-    size_t lo = 0, hi = index_.size();
-    while (lo < hi) {
-        const size_t mid = (lo + hi) / 2;
-        if (index_[mid].firstRecord + index_[mid].records <= target)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    nextChunk_ = lo;
-    consumed_ = target;
-    base_ = target;
-    return true;
-}
-
 // --------------------------------------------------------------------
-// Inspection + open-by-sniff
+// Inspection
 // --------------------------------------------------------------------
 
 uint64_t
@@ -877,65 +885,6 @@ inspectV3(const std::string &path)
     info.indexOffset = m.indexOffset;
     info.chunks = std::move(m.chunks);
     return info;
-}
-
-std::unique_ptr<TraceSource>
-openTraceFile(const std::string &path, TraceError *err, uint64_t limit)
-{
-    TraceError sniff_err;
-    uint32_t version = 0;
-    {
-        std::FILE *file = std::fopen(path.c_str(), "rb");
-        if (!file) {
-            sniff_err = TraceError::at(TraceError::Kind::OPEN_FAILED,
-                                       "cannot open trace file '" +
-                                           path + "'",
-                                       path, 0);
-        } else {
-            uint8_t buf[8];
-            if (std::fread(buf, sizeof(buf), 1, file) != 1) {
-                sniff_err = TraceError::at(
-                    TraceError::Kind::SHORT_HEADER,
-                    "trace file '" + path + "' has no header", path, 0);
-            } else if (wire::load32(buf) != v3::MAGIC) {
-                sniff_err =
-                    TraceError::at(TraceError::Kind::BAD_MAGIC,
-                                   "'" + path + "' is not a trace file",
-                                   path, 0);
-            } else {
-                version = wire::load32(buf + 4);
-            }
-            std::fclose(file);
-        }
-    }
-    if (!sniff_err.ok()) {
-        if (err)
-            *err = sniff_err;
-        return nullptr;
-    }
-
-    std::unique_ptr<TraceSource> src;
-    if (version == 2) {
-        auto v2 = std::make_unique<FileTraceSource>(path);
-        if (err)
-            *err = v2->error();
-        src = std::move(v2);
-    } else if (version == v3::VERSION) {
-        TraceV3Source::Options opts;
-        opts.limitRecords = limit;
-        auto v3src = std::make_unique<TraceV3Source>(path, opts);
-        if (err)
-            *err = v3src->error();
-        src = std::move(v3src);
-    } else {
-        if (err)
-            *err = TraceError::at(
-                TraceError::Kind::BAD_VERSION,
-                "trace file '" + path + "' has unsupported version " +
-                    std::to_string(version),
-                path, v3::HDR_OFF_VERSION);
-    }
-    return src;
 }
 
 } // namespace replay::trace

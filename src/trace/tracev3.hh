@@ -1,11 +1,12 @@
 /**
  * @file
- * Trace container format v3: chunked, block-compressed, seekable.
+ * Trace container: chunked, block-compressed, checksummed.
  *
- * The v2 container is a flat record stream read front to back with
- * batched fread — fine for one-shot replays, but with no random
- * access, no resume, and one checksum multiply per payload byte.  v3
- * restructures the container around *chunks*:
+ * The paper's workloads are hardware-captured trace *files* (§5.1.1);
+ * this module is the equivalent persistent form for our records, so a
+ * trace can be captured once and replayed through the simulator any
+ * number of times.  The container (format version 3) is built around
+ * *chunks*:
  *
  *   HEADER   magic/version/record-size guard, record count, codec,
  *            chunk size, index offset, header checksum
@@ -19,19 +20,20 @@
  * (see trace/chunk.hh), either stored raw or zlib-compressed; its
  * checksum is a word-at-a-time FNV over the *stored* bytes, so
  * integrity is verified before any decompression touches the data.
- * The index footer makes the container seekable: seekToRecord() binary
- * searches the index and resumes mid-stream, so a replay can start at
- * any record without re-reading the prefix.
+ * The index footer is cross-checked against the header and every chunk
+ * header, so a stale, spliced or cut-off container is rejected before
+ * its payload is trusted.
  *
  * Reads go through an mmap zero-copy path by default (the chunk
  * payload is checksummed and decoded directly out of the mapping, no
  * fread, no staging copy), falling back to buffered FILE* reads when
- * mmap is unavailable or refused.  Error semantics mirror v2 exactly:
- * a damaged file yields its valid prefix and a typed TraceError
- * (TRUNCATED / BAD_CHECKSUM / READ_ERROR / ...) carrying the byte
- * offset, chunk index, and path of the failure; transient read faults
- * retry with backoff, a persistent one ends the stream with
- * READ_ERROR, and the same fault-injector hook exercises both paths.
+ * mmap is unavailable or refused.  Failures never terminate the
+ * process: a damaged file yields a typed TraceError (TRUNCATED /
+ * BAD_CHECKSUM / READ_ERROR / ...) carrying the byte offset, chunk
+ * index, and path of the failure, plus the valid prefix when the
+ * damage is mid-stream; transient read faults retry with backoff, a
+ * persistent one ends the stream with READ_ERROR, and the same
+ * fault-injector hook exercises both paths.
  */
 
 #ifndef REPLAY_TRACE_TRACEV3_HH
@@ -42,14 +44,67 @@
 #include <string>
 #include <vector>
 
-#include "trace/tracefile.hh"
+#include "trace/record.hh"
 
 namespace replay::trace {
+
+/** Status/expected-style error descriptor for trace I/O. */
+struct TraceError
+{
+    enum class Kind : uint8_t
+    {
+        NONE,               ///< no error
+        OPEN_FAILED,        ///< file could not be opened
+        SHORT_HEADER,       ///< file ends inside the header
+        BAD_MAGIC,          ///< not a trace file
+        BAD_VERSION,        ///< unsupported format version
+        BAD_RECORD_SIZE,    ///< header record size != decoder's
+        TRUNCATED,          ///< file cut off, or shorter than pinned
+        BAD_CHECKSUM,       ///< header or chunk payload failed its checksum
+        WRITE_FAILED,       ///< fwrite reported a short write
+        FLUSH_FAILED,       ///< flush/close failed
+        READ_ERROR,         ///< read fault persisted through retries
+        BAD_CHUNK,          ///< chunk header corrupt or stale
+        BAD_INDEX,          ///< footer/index corrupt or inconsistent
+        BAD_CODEC,          ///< chunk codec unknown or unavailable
+    };
+
+    Kind kind = Kind::NONE;
+    std::string message;
+
+    // Diagnostic anchors: every error names the file it came from and
+    // where in it the failure was detected, so an operator can go from
+    // a log line straight to a hexdump offset.
+    std::string path;       ///< offending trace file ("" = not file-bound)
+    uint64_t byteOffset = 0; ///< file offset nearest the failure
+    int64_t chunkIndex = -1; ///< chunk ordinal, -1 = not chunk-scoped
+
+    bool ok() const { return kind == Kind::NONE; }
+
+    /** Error anchored to a byte offset (and optionally a chunk). */
+    static TraceError
+    at(Kind kind, std::string msg, std::string file_path,
+       uint64_t byte_offset, int64_t chunk_index = -1)
+    {
+        TraceError err;
+        err.kind = kind;
+        err.message = std::move(msg);
+        err.path = std::move(file_path);
+        err.byteOffset = byte_offset;
+        err.chunkIndex = chunk_index;
+        return err;
+    }
+
+    /** One-line report: kind, message, and the diagnostic anchors. */
+    std::string describe() const;
+};
+
+const char *traceErrorKindName(TraceError::Kind kind);
 
 /** v3 on-disk layout constants (tests corrupt fields by offset). */
 namespace v3 {
 
-constexpr uint32_t MAGIC = 0x52504c54;        // "RPLT" (shared sniff)
+constexpr uint32_t MAGIC = 0x52504c54;        // "RPLT"
 constexpr uint32_t VERSION = 3;
 constexpr uint32_t CHUNK_MAGIC = 0x334b4843;  // "CHK3"
 constexpr uint32_t FOOTER_MAGIC = 0x33465052; // "RPF3"
@@ -103,9 +158,9 @@ bool v3ZlibAvailable();
 /** Writer/recorder options. */
 struct V3Options
 {
-    /** Records per chunk; also the seek granularity.  The default
-     *  (~100kB raw per chunk) amortizes the per-chunk header while
-     *  keeping resume cheap. */
+    /** Records per chunk.  The default (~100kB raw per chunk)
+     *  amortizes the per-chunk header while keeping the decoded
+     *  window small. */
     uint32_t chunkRecords = 1024;
 
     V3Codec codec = defaultCodec();
@@ -169,9 +224,8 @@ class TraceV3Writer
 /** Read-side options for TraceV3Source. */
 struct V3SourceOptions
 {
-    /** Map the file and decode straight out of the mapping; the
-     *  REPLAY_TRACEV3_NO_MMAP environment variable (or mmap failure)
-     *  forces the buffered FILE* fallback. */
+    /** Map the file and decode straight out of the mapping; false
+     *  (or mmap failure) selects the buffered FILE* fallback. */
     bool preferMmap = true;
 
     /** Present only the first N records (0 = all).  Replay budget cap
@@ -194,7 +248,7 @@ class TraceV3Source : public TraceSource
     const TraceRecord *peek(unsigned ahead = 0) override;
     void advance() override;
     bool done() override;
-    uint64_t consumed() const override { return consumed_ - base_; }
+    uint64_t consumed() const override { return consumed_; }
 
     bool ok() const { return error_.ok(); }
     const TraceError &error() const { return error_; }
@@ -207,15 +261,6 @@ class TraceV3Source : public TraceSource
 
     /** True when the mmap zero-copy path is active. */
     bool usedMmap() const { return map_ != nullptr; }
-
-    /**
-     * Reposition the cursor to absolute record @p n (0-based), using
-     * the index to land on the owning chunk without touching the
-     * prefix.  @p n at or past the end positions the source at EOF
-     * (done() == true).  Returns false iff the source is in an error
-     * state.  consumed() counts from the seek target onward.
-     */
-    bool seekToRecord(uint64_t n);
 
     /**
      * Fault-injection hook: when set, each chunk load first asks the
@@ -270,8 +315,7 @@ class TraceV3Source : public TraceSource
 
     uint64_t total_ = 0;        ///< records the container holds
     uint64_t effTotal_ = 0;     ///< min(total, limit)
-    uint64_t consumed_ = 0;     ///< absolute cursor (record index)
-    uint64_t base_ = 0;         ///< consumed() origin (seek target)
+    uint64_t consumed_ = 0;     ///< cursor (record index)
     uint32_t recordBytes_ = 0;
     V3Codec codec_ = V3Codec::RAW;
     std::vector<IndexEntry> index_;
@@ -318,17 +362,6 @@ struct V3Info
 
 /** Read header/footer/index without touching chunk payloads. */
 V3Info inspectV3(const std::string &path);
-
-/**
- * Sniff the container version of @p path (4-byte magic + version
- * field) and open the matching TraceSource.  Sets @p err and returns
- * nullptr when the file is neither a v2 nor a v3 trace.  @p limit
- * caps the presented records for v3 (v2 has no cheap cap and reports
- * its full stream).
- */
-std::unique_ptr<TraceSource> openTraceFile(const std::string &path,
-                                           TraceError *err = nullptr,
-                                           uint64_t limit = 0);
 
 } // namespace replay::trace
 

@@ -3,29 +3,20 @@
  * Fault-injection harness tests: every armed corruption injected into a
  * frame must be caught by the online verifier before it commits, roll
  * back through the verify-recovery path, and leave the architectural
- * record stream bit-identical to a fault-free run; damaged trace files
- * must degrade to their valid prefix instead of killing the process.
+ * record stream bit-identical to a fault-free run.  Damaged trace
+ * containers (injection site (a)) are covered in test_tracev3.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-
 #include "fault/faultinjector.hh"
 #include "sim/simulator.hh"
-#include "trace/tracefile.hh"
 #include "trace/workload.hh"
-#include "testdir.hh"
 
 using namespace replay;
 using namespace replay::sim;
 using fault::FaultInjector;
 using timing::CycleBin;
-using trace::FileTraceSource;
-using trace::TraceError;
-using trace::TraceFileWriter;
-using testutil::testPath;
 
 namespace {
 
@@ -168,125 +159,6 @@ TEST(FaultInjection, DeterministicUnderSeed)
     EXPECT_EQ(a.verifyDetections, b.verifyDetections);
     EXPECT_EQ(a.quarantines, b.quarantines);
     EXPECT_EQ(a.archDigest, b.archDigest);
-}
-
-// ---------------------------------------------------------------------
-// Trace-file robustness (injection site (a))
-// ---------------------------------------------------------------------
-
-namespace {
-
-std::string
-dumpTrace(const std::string &name, uint64_t insts,
-          const std::string &tag)
-{
-    const auto &w = trace::findWorkload(name);
-    const std::string path =
-        testPath(name + "." + tag + ".rplt");
-    TraceFileWriter::dumpProgram(w.buildProgram(0), insts, path);
-    return path;
-}
-
-} // namespace
-
-TEST(TraceRobustness, TruncatedFileYieldsValidPrefix)
-{
-    const std::string path = dumpTrace("gzip", 2000, "trunc");
-    const uint64_t size = std::filesystem::file_size(path);
-    ASSERT_TRUE(FaultInjector::truncateFile(path, size - 7));
-
-    FileTraceSource src(path);
-    EXPECT_TRUE(src.ok());      // header intact; error surfaces later
-    uint64_t n = 0;
-    while (!src.done()) {
-        ASSERT_NE(src.peek(), nullptr);
-        src.advance();
-        ++n;
-    }
-    EXPECT_EQ(n, 1999u);
-    EXPECT_EQ(src.error().kind, TraceError::Kind::TRUNCATED);
-}
-
-TEST(TraceRobustness, SimulatorCompletesOnTruncatedTrace)
-{
-    const std::string path = dumpTrace("gzip", 3000, "simtrunc");
-    const uint64_t size = std::filesystem::file_size(path);
-    ASSERT_TRUE(FaultInjector::truncateFile(path, size / 2));
-
-    FileTraceSource src(path);
-    SimConfig cfg = SimConfig::make(Machine::RPO);
-    const RunStats stats = simulateTrace(cfg, src, "gzip");
-    EXPECT_GT(stats.x86Retired, 0u);
-    EXPECT_LT(stats.x86Retired, 3000u);
-    EXPECT_EQ(stats.x86Retired, src.consumed());
-}
-
-TEST(TraceRobustness, GarbageFileIsEmptyWithBadMagic)
-{
-    const std::string path = testPath("garbage.rplt");
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "this is not a trace file at all, not even close";
-    }
-    FileTraceSource src(path);
-    EXPECT_FALSE(src.ok());
-    EXPECT_EQ(src.error().kind, TraceError::Kind::BAD_MAGIC);
-    EXPECT_TRUE(src.done());
-    EXPECT_EQ(src.peek(), nullptr);
-}
-
-TEST(TraceRobustness, MissingFileReportsOpenFailure)
-{
-    FileTraceSource src(testPath("does-not-exist.rplt"));
-    EXPECT_FALSE(src.ok());
-    EXPECT_EQ(src.error().kind, TraceError::Kind::OPEN_FAILED);
-    EXPECT_TRUE(src.done());
-}
-
-TEST(TraceRobustness, BitFlippedRecordCaughtByChecksum)
-{
-    const std::string path = dumpTrace("gzip", 1000, "flip");
-    // Skip the 20-byte header so the damage lands in record payloads.
-    const unsigned flipped =
-        FaultInjector::corruptFileBytes(path, 42, 0.0005, 20);
-    ASSERT_GT(flipped, 0u);
-
-    FileTraceSource src(path);
-    EXPECT_TRUE(src.ok());
-    uint64_t n = 0;
-    while (!src.done()) {
-        src.advance();
-        ++n;
-    }
-    EXPECT_LT(n, 1000u);
-    EXPECT_EQ(src.error().kind, TraceError::Kind::BAD_CHECKSUM);
-}
-
-TEST(TraceRobustness, WriterSurfacesOpenFailure)
-{
-    TraceFileWriter writer(testPath("no-such-dir/x/y/z.rplt"));
-    EXPECT_FALSE(writer.ok());
-    EXPECT_EQ(writer.error().kind, TraceError::Kind::OPEN_FAILED);
-    writer.write(trace::TraceRecord{});      // must be a safe no-op
-    const TraceError err = writer.close();
-    EXPECT_EQ(err.kind, TraceError::Kind::OPEN_FAILED);
-}
-
-TEST(TraceRobustness, WriterRoundTripReportsNoError)
-{
-    const auto &w = trace::findWorkload("bzip2");
-    const std::string path = testPath("clean.rplt");
-    TraceFileWriter::dumpProgram(w.buildProgram(0), 500, path);
-    FileTraceSource src(path);
-    EXPECT_TRUE(src.ok());
-    EXPECT_EQ(src.totalRecords(), 500u);
-    uint64_t n = 0;
-    while (!src.done()) {
-        src.advance();
-        ++n;
-    }
-    EXPECT_EQ(n, 500u);
-    EXPECT_TRUE(src.ok());
 }
 
 // ---------------------------------------------------------------------

@@ -272,7 +272,7 @@ TEST(Runner, EnvInstsParsedStrictly)
     EXPECT_GT(defaultInstsPerTrace(), 0u);
 }
 
-#include "trace/tracefile.hh"
+#include "trace/tracev3.hh"
 
 TEST(Simulator, FileTraceMatchesLiveTrace)
 {
@@ -280,18 +280,19 @@ TEST(Simulator, FileTraceMatchesLiveTrace)
     // results to simulating from the live executor stream.
     const auto &w = trace::findWorkload("twolf");
     const auto prog = w.buildProgram(0);
-    const std::string path = testPath("twolf.rplt");
-    trace::TraceFileWriter::dumpProgram(prog, 80000, path);
+    const std::string path = testPath("twolf.rpl3");
+    trace::TraceV3Writer::dumpProgram(prog, 80000, path);
 
     auto cfg = SimConfig::make(Machine::RPO);
     trace::ExecutorTraceSource live(prog, 80000);
     const auto live_stats = simulateTrace(cfg, live, "twolf");
 
-    trace::FileTraceSource filed(path);
+    trace::TraceV3Source filed(path);
     const auto file_stats = simulateTrace(cfg, filed, "twolf");
 
     EXPECT_EQ(live_stats.cycles(), file_stats.cycles());
     EXPECT_EQ(live_stats.uopsExecuted, file_stats.uopsExecuted);
     EXPECT_EQ(live_stats.frameCommits, file_stats.frameCommits);
     EXPECT_EQ(live_stats.mispredicts, file_stats.mispredicts);
+    EXPECT_TRUE(filed.ok()) << filed.error().describe();
 }

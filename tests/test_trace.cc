@@ -13,7 +13,6 @@
 #include "trace/workload.hh"
 #include "uop/translator.hh"
 #include "x86/asmbuilder.hh"
-#include "testdir.hh"
 
 using namespace replay;
 using namespace replay::trace;
@@ -21,7 +20,6 @@ using x86::AsmBuilder;
 using x86::Cond;
 using x86::memAt;
 using x86::Reg;
-using testutil::testPath;
 
 TEST(TraceRecord, CapturesMemOpsAndRegWrites)
 {
@@ -220,198 +218,4 @@ TEST(Workloads, DesktopCodeFootprintExceedsSpec)
         }
     }
     EXPECT_GT(desk_bytes / desk_n, spec_bytes / spec_n);
-}
-
-// ---------------------------------------------------------------------
-// Trace-file serialization
-// ---------------------------------------------------------------------
-
-#include "trace/tracefile.hh"
-
-TEST(TraceFile, RoundTripPreservesEveryField)
-{
-    const Workload &w = findWorkload("eon");   // exercises FP records
-    const x86::Program prog = w.buildProgram(0);
-    const auto reference = collectTrace(prog, 3000);
-
-    const std::string path = testPath("eon.rplt");
-    TraceFileWriter::dumpProgram(prog, 3000, path);
-
-    FileTraceSource src(path);
-    EXPECT_EQ(src.totalRecords(), 3000u);
-    for (const auto &want : reference) {
-        const TraceRecord *got = src.peek();
-        ASSERT_NE(got, nullptr);
-        EXPECT_EQ(got->pc, want.pc);
-        EXPECT_EQ(got->nextPc, want.nextPc);
-        EXPECT_EQ(got->length, want.length);
-        EXPECT_EQ(got->taken, want.taken);
-        EXPECT_EQ(got->flagsAfter, want.flagsAfter);
-        EXPECT_TRUE(got->inst == want.inst);
-        ASSERT_EQ(got->numRegWrites, want.numRegWrites);
-        for (unsigned i = 0; i < want.numRegWrites; ++i) {
-            EXPECT_EQ(got->regWrites[i].reg, want.regWrites[i].reg);
-            EXPECT_EQ(got->regWrites[i].value, want.regWrites[i].value);
-        }
-        ASSERT_EQ(got->numMemOps, want.numMemOps);
-        for (unsigned i = 0; i < want.numMemOps; ++i) {
-            EXPECT_EQ(got->memOps[i].isStore, want.memOps[i].isStore);
-            EXPECT_EQ(got->memOps[i].addr, want.memOps[i].addr);
-            EXPECT_EQ(got->memOps[i].size, want.memOps[i].size);
-            EXPECT_EQ(got->memOps[i].data, want.memOps[i].data);
-        }
-        src.advance();
-    }
-    EXPECT_TRUE(src.done());
-}
-
-TEST(TraceFile, LookaheadAcrossFileBuffer)
-{
-    const Workload &w = findWorkload("gzip");
-    const x86::Program prog = w.buildProgram(0);
-    const std::string path = testPath("gzip.rplt");
-    TraceFileWriter::dumpProgram(prog, 2000, path);
-
-    FileTraceSource src(path);
-    std::vector<uint32_t> ahead;
-    for (unsigned k = 0; k < 400; ++k)
-        ahead.push_back(src.peek(k)->pc);
-    for (unsigned k = 0; k < 400; ++k) {
-        EXPECT_EQ(src.peek()->pc, ahead[k]);
-        src.advance();
-    }
-}
-
-TEST(TraceFile, RingWraparoundDeliversIdenticalStream)
-{
-    // Stream enough records to wrap the lookahead ring several times
-    // (ring = 2 x LOOKAHEAD entries) while the batched block reader
-    // refills it, with deep peeks pinned across every wrap point.  The
-    // delivered stream must be byte-for-byte what a fresh executor
-    // produces.
-    const Workload &w = findWorkload("crafty");
-    const x86::Program prog = w.buildProgram(0);
-    const uint64_t total = uint64_t(TraceSource::LOOKAHEAD) * 7 + 123;
-    const std::string path = testPath("crafty_wrap.rplt");
-    TraceFileWriter::dumpProgram(prog, total, path);
-
-    ExecutorTraceSource ref(prog, total);
-    FileTraceSource src(path);
-    uint64_t n = 0;
-    while (!ref.done()) {
-        ASSERT_FALSE(src.done()) << "file stream ended early at " << n;
-        const TraceRecord *got = src.peek();
-        const TraceRecord *want = ref.peek();
-        ASSERT_NE(got, nullptr);
-        EXPECT_EQ(got->pc, want->pc) << "record " << n;
-        EXPECT_EQ(got->nextPc, want->nextPc) << "record " << n;
-        EXPECT_EQ(got->numMemOps, want->numMemOps) << "record " << n;
-        // Deep peek across the upcoming ring boundary: must agree with
-        // what advance() later delivers, despite batched refills.
-        if ((n % (TraceSource::LOOKAHEAD / 2)) == 0) {
-            const TraceRecord *far = src.peek(TraceSource::LOOKAHEAD - 1);
-            const TraceRecord *far_ref = ref.peek(TraceSource::LOOKAHEAD - 1);
-            ASSERT_EQ(far == nullptr, far_ref == nullptr);
-            if (far) {
-                EXPECT_EQ(far->pc, far_ref->pc) << "deep peek at " << n;
-            }
-        }
-        src.advance();
-        ref.advance();
-        ++n;
-    }
-    EXPECT_TRUE(src.done());
-    EXPECT_EQ(n, total);
-    EXPECT_TRUE(src.ok());
-}
-
-// ---------------------------------------------------------------------
-// Batched-read fault recovery: ferror is transient (retry), feof is
-// truncation, a persistent fault ends the stream with READ_ERROR.
-// ---------------------------------------------------------------------
-
-#include <filesystem>
-
-#include "fault/faultinjector.hh"
-#include "util/rng.hh"
-
-namespace {
-
-/** Write a small pristine trace; returns its path. */
-std::string
-writeTrace(const char *name, uint64_t records)
-{
-    const Workload &w = findWorkload("gzip");
-    const std::string path = testPath(name);
-    TraceFileWriter::dumpProgram(w.buildProgram(0), records, path);
-    return path;
-}
-
-} // namespace
-
-TEST(TraceFileFaults, TransientFaultsRetriedToFullStream)
-{
-    const std::string path = writeTrace("transient.rplt", 1500);
-
-    // Fault ~15% of batched read attempts: every one must be absorbed
-    // by the bounded retry (aborting needs MAX_READ_RETRIES + 1
-    // consecutive hits, vanishingly unlikely in this seeded stream),
-    // delivering the identical full stream.
-    FileTraceSource src(path);
-    Rng rng(42);
-    src.setIoFaultInjector([&rng] { return rng.chance(0.15); });
-    uint64_t n = 0;
-    while (!src.done()) {
-        src.advance();
-        ++n;
-    }
-    EXPECT_TRUE(src.ok())
-        << traceErrorKindName(src.error().kind) << ": "
-        << src.error().message;
-    EXPECT_EQ(n, 1500u);
-    EXPECT_GT(src.ioRetries(), 0u);
-}
-
-TEST(TraceFileFaults, PersistentFaultReadsError)
-{
-    const std::string path = writeTrace("persistent.rplt", 800);
-
-    FileTraceSource src(path);
-    src.setIoFaultInjector([] { return true; });
-    while (!src.done())
-        src.advance();
-    EXPECT_EQ(src.error().kind, TraceError::Kind::READ_ERROR);
-    EXPECT_EQ(src.ioRetries(), FileTraceSource::MAX_READ_RETRIES);
-
-    // The failure belongs to that source alone: a fresh open of the
-    // same path reads the full stream.
-    FileTraceSource clean(path);
-    uint64_t n = 0;
-    while (!clean.done()) {
-        clean.advance();
-        ++n;
-    }
-    EXPECT_TRUE(clean.ok());
-    EXPECT_EQ(n, 800u);
-}
-
-TEST(TraceFileFaults, TruncationIsNotMistakenForReadError)
-{
-    const std::string path = writeTrace("truncated.rplt", 600);
-
-    // Chop mid-record: an honest feof short-read must surface as
-    // TRUNCATED (valid prefix delivered), never as the retriable
-    // READ_ERROR — and must not waste retries.
-    const auto size = std::filesystem::file_size(path);
-    ASSERT_TRUE(fault::FaultInjector::truncateFile(path, size / 2 + 7));
-    FileTraceSource src(path);
-    uint64_t n = 0;
-    while (!src.done()) {
-        src.advance();
-        ++n;
-    }
-    EXPECT_EQ(src.error().kind, TraceError::Kind::TRUNCATED);
-    EXPECT_GT(n, 0u);
-    EXPECT_LT(n, 600u);
-    EXPECT_EQ(src.ioRetries(), 0u);
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace container v3 test battery.
+ * Trace container test battery.
  *
  * Three pillars, matching the hardening contract in DESIGN.md:
  *
@@ -11,19 +11,20 @@
  *    valid prefix, and restoring the field restores the full stream.
  *    Never a crash, never silently wrong data.
  *
- *  - Round-trip properties: a v2 container converted to v3 delivers
- *    the identical record stream for all 14 workloads, across codecs
- *    (raw/zlib) and read paths (mmap/buffered).
+ *  - Round-trip properties: a recorded container delivers the record
+ *    stream the live synthesizer produces for all 14 workloads, across
+ *    codecs (raw/zlib), read paths (mmap/buffered), and lookahead peeks
+ *    spanning many chunks.
  *
- *  - Seek/resume: seekToRecord() agrees with sequential replay at
- *    chunk boundaries, mid-chunk, EOF and past-EOF, including after a
- *    transient injected read fault absorbed by the retry path.
+ *  - Robustness: missing, garbage, cut-off and chunk-damaged files
+ *    surface a typed TraceError instead of killing the process, read
+ *    faults retry or end the stream with READ_ERROR, and the simulator
+ *    completes on whatever valid prefix a damaged container delivers.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -31,8 +32,8 @@
 
 #include "fault/faultinjector.hh"
 #include "trace/chunk.hh"
+#include "sim/simulator.hh"
 #include "trace/corpus.hh"
-#include "trace/tracefile.hh"
 #include "trace/tracer.hh"
 #include "trace/tracev3.hh"
 #include "trace/workload.hh"
@@ -144,29 +145,6 @@ expectIdenticalStreams(TraceSource &got_src, TraceSource &want_src)
         ++n;
     }
     EXPECT_TRUE(got_src.done()) << "stream has extra records past " << n;
-}
-
-/** Copy a v2 container's records into a fresh v3 container. */
-void
-convertV2ToV3(const std::string &v2_path, const std::string &v3_path,
-              V3Options opts = {})
-{
-    FileTraceSource in(v2_path);
-    ASSERT_TRUE(in.ok()) << in.error().describe();
-    TraceV3Writer out(v3_path, opts);
-    while (!in.done()) {
-        out.write(*in.peek());
-        in.advance();
-    }
-    ASSERT_TRUE(in.ok()) << in.error().describe();
-    const TraceError err = out.close();
-    ASSERT_TRUE(err.ok()) << err.describe();
-}
-
-bool
-mmapExpected()
-{
-    return std::getenv("REPLAY_TRACEV3_NO_MMAP") == nullptr;
 }
 
 } // namespace
@@ -496,6 +474,17 @@ TEST_F(TraceV3Corruption, TruncationIsTypedAtEveryCutPoint)
         // A file cut off mid-write has no trustworthy index, so the
         // whole container is rejected at open: prefix 0.
         expectReject(row.kind, 0);
+        // A cut-off file is honest end-of-file, not a transient fault:
+        // neither read path may spend retries on it.
+        for (const bool prefer_mmap : {true, false}) {
+            SCOPED_TRACE(prefer_mmap ? "mmap" : "buffered");
+            V3SourceOptions so;
+            so.preferMmap = prefer_mmap;
+            const ReadResult r = readV3(*path_, so);
+            EXPECT_EQ(r.err.kind, row.kind);
+            EXPECT_EQ(r.records, 0u);
+            EXPECT_EQ(r.ioRetries, 0u);
+        }
         spit(*path_, *pristine_);
         expectPristine();
     }
@@ -627,32 +616,24 @@ TEST(TraceV3RoundTrip, WriterReaderPreserveEveryField)
     EXPECT_TRUE(src.ok());
 }
 
-TEST(TraceV3RoundTrip, ConvertedV2IsIdenticalForAllFourteenWorkloads)
+TEST(TraceV3RoundTrip, RecordedIsIdenticalForAllFourteenWorkloads)
 {
     const uint64_t N = 1200;
     for (const Workload &w : standardWorkloads()) {
         SCOPED_TRACE(w.name);
         const x86::Program prog = w.buildProgram(0);
-        const std::string v2_path =
-            testPath(w.name + ".rplt");
-        const std::string v3_path =
-            testPath(w.name + ".rpl3");
-        TraceFileWriter::dumpProgram(prog, N, v2_path);
-        convertV2ToV3(v2_path, v3_path);
+        const std::string path = testPath(w.name + ".rpl3");
+        TraceV3Writer::dumpProgram(prog, N, path);
 
-        // The container-independent stream digest ties all three
-        // representations together: live synthesis, v2, converted v3.
+        // The container-independent stream digest ties the recording
+        // to live synthesis.
         ExecutorTraceSource live(prog, N);
         const uint64_t want = wire::streamDigest(live);
 
-        FileTraceSource v2(v2_path);
-        EXPECT_EQ(wire::streamDigest(v2), want);
-        ASSERT_TRUE(v2.ok());
-
-        TraceV3Source v3src(v3_path);
-        EXPECT_EQ(wire::streamDigest(v3src), want);
-        ASSERT_TRUE(v3src.ok()) << v3src.error().describe();
-        EXPECT_EQ(v3src.consumed(), N);
+        TraceV3Source src(path);
+        EXPECT_EQ(wire::streamDigest(src), want);
+        ASSERT_TRUE(src.ok()) << src.error().describe();
+        EXPECT_EQ(src.consumed(), N);
     }
 }
 
@@ -693,9 +674,7 @@ TEST(TraceV3RoundTrip, MmapAndBufferedDeliverIdenticalStreams)
     V3SourceOptions buf;
     buf.preferMmap = false;
     TraceV3Source a(path, mm), b(path, buf);
-    if (mmapExpected()) {
-        EXPECT_TRUE(a.usedMmap());
-    }
+    EXPECT_TRUE(a.usedMmap());
     EXPECT_FALSE(b.usedMmap());
     expectIdenticalStreams(b, a);
     EXPECT_TRUE(a.ok());
@@ -719,8 +698,6 @@ TEST(TraceV3RoundTrip, EmptyContainerRoundTrips)
     EXPECT_TRUE(src.ok()) << src.error().describe();
     EXPECT_TRUE(src.done());
     EXPECT_EQ(src.consumed(), 0u);
-    EXPECT_TRUE(src.seekToRecord(0));
-    EXPECT_TRUE(src.done());
 }
 
 TEST(TraceV3RoundTrip, LimitRecordsCapsThePresentedStream)
@@ -740,40 +717,58 @@ TEST(TraceV3RoundTrip, LimitRecordsCapsThePresentedStream)
     EXPECT_EQ(src.consumed(), 700u);
 }
 
-TEST(TraceV3Open, SniffDispatchesV2AndV3AndRejectsGarbage)
+TEST(TraceV3RoundTrip, DeepPeekAcrossChunksDeliversIdenticalStream)
 {
-    const Workload &w = findWorkload("twolf");
+    // Small chunks make the deepest lookahead peek (LOOKAHEAD - 1)
+    // span at least eight decoded chunks, pinned across every chunk
+    // boundary while advance() recycles the front of the window.  The
+    // delivered stream must be exactly what a fresh executor produces,
+    // on both read paths.
+    constexpr uint32_t CHUNK = 64;
+    static_assert(TraceSource::LOOKAHEAD / CHUNK >= 8);
+    const Workload &w = findWorkload("crafty");
     const x86::Program prog = w.buildProgram(0);
-    const uint64_t N = 800;
-    ExecutorTraceSource live(prog, N);
-    const uint64_t want = wire::streamDigest(live);
+    const uint64_t total = uint64_t(TraceSource::LOOKAHEAD) * 7 + 123;
+    const std::string path = testPath("crafty_deep.rpl3");
+    V3Options opts;
+    opts.chunkRecords = CHUNK;
+    TraceV3Writer::dumpProgram(prog, total, path, opts);
 
-    const std::string v2_path = testPath("sniff.rplt");
-    TraceFileWriter::dumpProgram(prog, N, v2_path);
-    const std::string v3_path = testPath("sniff.rpl3");
-    TraceV3Writer::dumpProgram(prog, N, v3_path);
-
-    TraceError err;
-    auto v2 = openTraceFile(v2_path, &err);
-    ASSERT_NE(v2, nullptr) << err.describe();
-    EXPECT_EQ(wire::streamDigest(*v2), want);
-
-    auto v3src = openTraceFile(v3_path, &err);
-    ASSERT_NE(v3src, nullptr) << err.describe();
-    EXPECT_EQ(wire::streamDigest(*v3src), want);
-
-    // The v3 limit plumbs through the sniffing opener.
-    auto capped = openTraceFile(v3_path, &err, 300);
-    ASSERT_NE(capped, nullptr);
-    ExecutorTraceSource head(prog, 300);
-    EXPECT_EQ(wire::streamDigest(*capped), wire::streamDigest(head));
-
-    const std::string junk = testPath("junk.bin");
-    spit(junk, {'h', 'e', 'l', 'l', 'o', ' ', 'f', 's'});
-    auto bad = openTraceFile(junk, &err);
-    EXPECT_EQ(bad, nullptr);
-    EXPECT_EQ(err.kind, Kind::BAD_MAGIC);
-    EXPECT_EQ(err.path, junk);
+    for (const bool prefer_mmap : {true, false}) {
+        SCOPED_TRACE(prefer_mmap ? "mmap" : "buffered");
+        V3SourceOptions so;
+        so.preferMmap = prefer_mmap;
+        TraceV3Source src(path, so);
+        ExecutorTraceSource ref(prog, total);
+        uint64_t n = 0;
+        while (!ref.done()) {
+            ASSERT_FALSE(src.done()) << "file stream ended early at " << n;
+            const TraceRecord *got = src.peek();
+            const TraceRecord *want = ref.peek();
+            ASSERT_NE(got, nullptr);
+            EXPECT_EQ(got->pc, want->pc) << "record " << n;
+            EXPECT_EQ(got->nextPc, want->nextPc) << "record " << n;
+            EXPECT_EQ(got->numMemOps, want->numMemOps) << "record " << n;
+            // Deep peek: must agree with what advance() later
+            // delivers, although it decodes chunks far ahead.
+            if ((n % (TraceSource::LOOKAHEAD / 2)) == 0) {
+                const TraceRecord *far =
+                    src.peek(TraceSource::LOOKAHEAD - 1);
+                const TraceRecord *far_ref =
+                    ref.peek(TraceSource::LOOKAHEAD - 1);
+                ASSERT_EQ(far == nullptr, far_ref == nullptr);
+                if (far) {
+                    EXPECT_EQ(far->pc, far_ref->pc) << "deep peek at " << n;
+                }
+            }
+            src.advance();
+            ref.advance();
+            ++n;
+        }
+        EXPECT_TRUE(src.done());
+        EXPECT_EQ(n, total);
+        EXPECT_TRUE(src.ok()) << src.error().describe();
+    }
 }
 
 TEST(TraceV3Inspect, IndexTilesTheFileExactly)
@@ -809,127 +804,8 @@ TEST(TraceV3Inspect, IndexTilesTheFileExactly)
 }
 
 // ---------------------------------------------------------------------
-// Seek / resume
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** Seek to @p target and verify the remainder against @p ref. */
-void
-expectSeekTail(TraceV3Source &src, uint64_t target,
-               const std::vector<TraceRecord> &ref)
-{
-    const uint64_t N = ref.size();
-    ASSERT_TRUE(src.seekToRecord(target)) << src.error().describe();
-    if (target >= N) {
-        EXPECT_TRUE(src.done());
-        EXPECT_EQ(src.consumed(), 0u);
-        return;
-    }
-    uint64_t i = target;
-    while (!src.done()) {
-        ASSERT_LT(i, N);
-        EXPECT_EQ(src.peek()->pc, ref[size_t(i)].pc) << "record " << i;
-        EXPECT_EQ(src.peek()->nextPc, ref[size_t(i)].nextPc);
-        src.advance();
-        ++i;
-    }
-    EXPECT_EQ(i, N) << "seek(" << target << ") tail ended early";
-    EXPECT_EQ(src.consumed(), N - target);
-    EXPECT_TRUE(src.ok()) << src.error().describe();
-}
-
-} // namespace
-
-TEST(TraceV3Seek, AgreesWithSequentialReplayAtEveryBoundary)
-{
-    const Workload &w = findWorkload("crafty");
-    const x86::Program prog = w.buildProgram(0);
-    const uint64_t N = 2700;
-    const std::string path = testPath("seek.rpl3");
-    V3Options opts;
-    opts.chunkRecords = 512;
-    TraceV3Writer::dumpProgram(prog, N, path, opts);
-    const auto ref = collectTrace(prog, N);
-
-    // Chunk boundaries, mid-chunk, first/last, EOF, past-EOF — on both
-    // the mmap and buffered read paths.
-    const uint64_t targets[] = {0,    1,    511,  512, 513, 1024,
-                                2047, 2559, 2699, N,   N + 4242};
-    for (const bool prefer_mmap : {true, false}) {
-        SCOPED_TRACE(prefer_mmap ? "mmap" : "buffered");
-        V3SourceOptions so;
-        so.preferMmap = prefer_mmap;
-        for (const uint64_t t : targets) {
-            SCOPED_TRACE(t);
-            TraceV3Source src(path, so);
-            ASSERT_TRUE(src.ok()) << src.error().describe();
-            expectSeekTail(src, t, ref);
-        }
-    }
-}
-
-TEST(TraceV3Seek, ReSeekOnTheSameSourceForwardAndBackward)
-{
-    const Workload &w = findWorkload("gzip");
-    const x86::Program prog = w.buildProgram(0);
-    const uint64_t N = 2048;
-    const std::string path = testPath("reseek.rpl3");
-    V3Options opts;
-    opts.chunkRecords = 256;
-    TraceV3Writer::dumpProgram(prog, N, path, opts);
-    const auto ref = collectTrace(prog, N);
-
-    TraceV3Source src(path);
-    ASSERT_TRUE(src.ok());
-
-    // Read a prefix sequentially, jump ahead, then rewind behind the
-    // already-recycled window — each tail must match the reference.
-    for (unsigned i = 0; i < 300; ++i)
-        src.advance();
-    expectSeekTail(src, 1536, ref);    // forward, chunk boundary
-    expectSeekTail(src, 100, ref);     // backward, mid-first-chunk
-    expectSeekTail(src, N - 1, ref);   // last record
-    expectSeekTail(src, 0, ref);       // full rewind
-}
-
-TEST(TraceV3Seek, ResumesAfterTransientFaultAtChunkBoundary)
-{
-    const Workload &w = findWorkload("parser");
-    const x86::Program prog = w.buildProgram(0);
-    const uint64_t N = 2048;
-    const std::string path = testPath("seekfault.rpl3");
-    V3Options opts;
-    opts.chunkRecords = 512;
-    TraceV3Writer::dumpProgram(prog, N, path, opts);
-    const auto ref = collectTrace(prog, N);
-
-    for (const bool prefer_mmap : {true, false}) {
-        SCOPED_TRACE(prefer_mmap ? "mmap" : "buffered");
-        V3SourceOptions so;
-        so.preferMmap = prefer_mmap;
-        TraceV3Source src(path, so);
-        ASSERT_TRUE(src.ok());
-
-        // One injected transient fault on the first chunk load after
-        // the seek: the retry must absorb it and resume the identical
-        // stream from the boundary.
-        unsigned fires = 1;
-        src.setIoFaultInjector([&fires] {
-            if (fires) {
-                --fires;
-                return true;
-            }
-            return false;
-        });
-        expectSeekTail(src, 1536, ref);
-        EXPECT_EQ(src.ioRetries(), 1u);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Fault injection: transient retry, persistent READ_ERROR (v2 parity),
-// and a mapped file that shrinks while open
+// Fault injection: transient retry, persistent READ_ERROR, and a
+// mapped file that shrinks while open
 // ---------------------------------------------------------------------
 
 TEST(TraceV3Faults, TransientFaultsRetriedToFullStream)
@@ -1023,8 +899,76 @@ TEST(TraceV3Faults, ShrinkWhileOpenIsTruncatedNotSigbus)
 }
 
 // ---------------------------------------------------------------------
-// TraceError diagnostics: path + byte offset + chunk index (v3), path +
-// byte offset (v2), and the describe() rendering of all three.
+// Robustness: a missing, garbage or unwritable file is a typed error,
+// and the simulator completes on a damaged container's valid prefix
+// ---------------------------------------------------------------------
+
+TEST(TraceRobustness, GarbageFileIsEmptyWithBadMagic)
+{
+    const std::string path = testPath("garbage.rpl3");
+    const std::string text =
+        "this is not a trace file at all, not even close";
+    spit(path, std::vector<uint8_t>(text.begin(), text.end()));
+    TraceV3Source src(path);
+    EXPECT_FALSE(src.ok());
+    EXPECT_EQ(src.error().kind, Kind::BAD_MAGIC);
+    EXPECT_TRUE(src.done());
+    EXPECT_EQ(src.peek(), nullptr);
+}
+
+TEST(TraceRobustness, MissingFileReportsOpenFailure)
+{
+    TraceV3Source src(testPath("does-not-exist.rpl3"));
+    EXPECT_FALSE(src.ok());
+    EXPECT_EQ(src.error().kind, Kind::OPEN_FAILED);
+    EXPECT_TRUE(src.done());
+}
+
+TEST(TraceRobustness, WriterSurfacesOpenFailure)
+{
+    TraceV3Writer writer(testPath("no-such-dir/x/y/z.rpl3"));
+    EXPECT_FALSE(writer.ok());
+    EXPECT_EQ(writer.error().kind, Kind::OPEN_FAILED);
+    writer.write(TraceRecord{});      // must be a safe no-op
+    const TraceError err = writer.close();
+    EXPECT_EQ(err.kind, Kind::OPEN_FAILED);
+}
+
+TEST(TraceRobustness, SimulatorCompletesOnChunkDamagedTrace)
+{
+    // A payload flip inside chunk 2 fails that chunk's checksum: the
+    // source delivers exactly chunks 0 and 1, and the simulator must
+    // run to completion on that prefix.
+    const Workload &w = findWorkload("gzip");
+    const uint64_t N = 3000;
+    const std::string path = testPath("simdamage.rpl3");
+    V3Options opts;
+    opts.chunkRecords = 512;
+    TraceV3Writer::dumpProgram(w.buildProgram(0), N, path, opts);
+    const V3Info info = inspectV3(path);
+    ASSERT_TRUE(info.ok()) << info.error.describe();
+    ASSERT_GE(info.chunks.size(), 3u);
+    const V3Info::Chunk &victim = info.chunks[2];
+    ASSERT_TRUE(FaultInjector::flipByteAt(
+        path, victim.offset + v3::CHUNK_HEADER_BYTES +
+                  victim.payloadBytes / 2));
+
+    TraceV3Source src(path);
+    ASSERT_TRUE(src.ok()) << src.error().describe();
+    sim::SimConfig cfg = sim::SimConfig::make(sim::Machine::RPO);
+    const sim::RunStats stats = sim::simulateTrace(cfg, src, "gzip");
+    EXPECT_GT(stats.x86Retired, 0u);
+    EXPECT_LT(stats.x86Retired, N);
+    EXPECT_EQ(stats.x86Retired, src.consumed());
+    EXPECT_EQ(src.consumed(), victim.firstRecord);
+    EXPECT_EQ(src.error().kind, Kind::BAD_CHECKSUM)
+        << src.error().describe();
+    EXPECT_EQ(src.error().chunkIndex, 2);
+}
+
+// ---------------------------------------------------------------------
+// TraceError diagnostics: path + byte offset + chunk index, and the
+// describe() rendering of all three.
 // ---------------------------------------------------------------------
 
 TEST(TraceV3Diagnostics, ErrorsCarryPathOffsetAndChunk)
@@ -1058,31 +1002,6 @@ TEST(TraceV3Diagnostics, ErrorsCarryPathOffsetAndChunk)
               std::string::npos)
         << text;
     EXPECT_NE(text.find("chunk 1"), std::string::npos) << text;
-}
-
-TEST(TraceV3Diagnostics, V2ErrorsCarryPathAndByteOffset)
-{
-    const Workload &w = findWorkload("gzip");
-    const std::string path = testPath("diag.rplt");
-    TraceFileWriter::dumpProgram(w.buildProgram(0), 600, path);
-    const auto size = std::filesystem::file_size(path);
-    ASSERT_TRUE(FaultInjector::truncateFile(path, size / 2 + 7));
-
-    FileTraceSource src(path);
-    while (!src.done())
-        src.advance();
-    const TraceError &err = src.error();
-    EXPECT_EQ(err.kind, Kind::TRUNCATED);
-    EXPECT_EQ(err.path, path);
-    // v2 layout: 20-byte header, then (4-byte guard + record) each.
-    const uint64_t per_record = 4 + wire::recordWireBytes();
-    EXPECT_EQ(err.byteOffset, 20 + src.produced() * per_record);
-    EXPECT_EQ(err.chunkIndex, -1) << "v2 errors are not chunk-scoped";
-
-    const std::string text = err.describe();
-    EXPECT_NE(text.find(path), std::string::npos) << text;
-    EXPECT_NE(text.find("@byte"), std::string::npos) << text;
-    EXPECT_EQ(text.find("chunk"), std::string::npos) << text;
 }
 
 // ---------------------------------------------------------------------
@@ -1145,4 +1064,46 @@ TEST(TraceV3Corpus, ManifestRoundTripsAndPinsDigests)
     TraceError err;
     EXPECT_EQ(corpus.open(*victim, 0, &err), nullptr);
     EXPECT_EQ(err.kind, Kind::TRUNCATED);
+}
+
+TEST(TraceV3Corpus, ShortContainerIsRefusedByItsManifestPin)
+{
+    // A well-formed 500-record container under an entry that pins 600
+    // records is a stale artifact: open() must refuse it rather than
+    // replay a shortened workload.  A budget the container does cover
+    // still opens.
+    const Workload &w = findWorkload("gzip");
+    const x86::Program prog = w.buildProgram(0);
+    const std::string dir = testPath("");
+    CorpusEntry e;
+    e.id = "gzip.0";
+    e.workload = "gzip";
+    e.traceIdx = 0;
+    e.records = 600;
+    e.file = "short.rpl3";
+    TraceV3Writer::dumpProgram(prog, 500, dir + e.file);
+    ExecutorTraceSource live(prog, 600);
+    e.digest = wire::streamDigest(live);
+    const std::string manifest = dir + "corpus_short.json";
+    const TraceError werr = writeCorpusManifest(manifest, {e});
+    ASSERT_TRUE(werr.ok()) << werr.describe();
+
+    const TraceCorpus corpus = TraceCorpus::load(manifest);
+    ASSERT_TRUE(corpus.ok()) << corpus.error().describe();
+    const CorpusEntry *entry = corpus.find("gzip", 0, 600);
+    ASSERT_NE(entry, nullptr);
+    ASSERT_TRUE(inspectV3(corpus.resolvePath(*entry)).ok());
+
+    TraceError err;
+    EXPECT_EQ(corpus.open(*entry, 0, &err), nullptr);
+    EXPECT_EQ(err.kind, Kind::TRUNCATED) << err.describe();
+    EXPECT_EQ(err.path, corpus.resolvePath(*entry));
+    EXPECT_EQ(corpus.open(*entry, 550, &err), nullptr);
+    EXPECT_EQ(err.kind, Kind::TRUNCATED) << err.describe();
+
+    auto src = corpus.open(*entry, 400, &err);
+    ASSERT_NE(src, nullptr) << err.describe();
+    EXPECT_TRUE(err.ok());
+    ExecutorTraceSource head(prog, 400);
+    EXPECT_EQ(wire::streamDigest(*src), wire::streamDigest(head));
 }

@@ -35,7 +35,6 @@
 #include "opt/optimizer.hh"
 #include "sim/sweep.hh"
 #include "trace/chunk.hh"
-#include "trace/tracefile.hh"
 #include "trace/tracer.hh"
 #include "trace/tracev3.hh"
 #include "trace/workload.hh"
@@ -150,10 +149,9 @@ runOptimizerPass(const std::vector<trace::TraceRecord> &records,
 }
 
 /**
- * v3 mmap ingest bandwidth (decoded record bytes per second) over a
- * RAW container of the harvested records.  RAW + mmap is the
- * configuration the >=2x-over-v2 design claim is made for (see
- * bench_trace_ingest for the full v2/v3 comparison table).
+ * mmap ingest bandwidth (decoded record bytes per second) over a RAW
+ * container of the harvested records: the fastest read configuration
+ * (see bench_trace_ingest for the buffered/mmap/zlib table).
  */
 void
 runIngestPass(const std::vector<trace::TraceRecord> &records,

@@ -6,7 +6,7 @@
  * simulator:
  *
  *   record <workload> <hotspot> <insts> <out>   synthesize + record v3
- *   convert <in> <out>                          v2 or v3 → v3 (recode)
+ *   convert <in> <out>                          recode (codec, chunk)
  *   verify <file...>                            full read + digest
  *   inspect <file...>                           header/codec/geometry
  *   index <file>                                dump the chunk index
@@ -15,7 +15,7 @@
  *   corpus-verify <manifest>                    re-digest every entry
  *
  * Shared flags for writers: --codec raw|zlib, --chunk N (records per
- * chunk), --v2 (record/convert to the legacy flat container instead).
+ * chunk).
  *
  * verify and corpus-verify exit non-zero on the first mismatch, so
  * they are usable as CI gates; verify prints the container-independent
@@ -41,12 +41,6 @@ using trace::TraceError;
 
 namespace {
 
-struct WriterFlags
-{
-    trace::V3Options v3;
-    bool v2 = false;
-};
-
 int
 usage()
 {
@@ -54,8 +48,8 @@ usage()
         stderr,
         "usage: tracec <command> [args]\n"
         "  record <workload> <hotspot> <insts> <out> "
-        "[--codec raw|zlib] [--chunk N] [--v2]\n"
-        "  convert <in> <out> [--codec raw|zlib] [--chunk N] [--v2]\n"
+        "[--codec raw|zlib] [--chunk N]\n"
+        "  convert <in> <out> [--codec raw|zlib] [--chunk N]\n"
         "  verify <file...>\n"
         "  inspect <file...>\n"
         "  index <file>\n"
@@ -67,7 +61,7 @@ usage()
 
 /** Pull writer flags out of @p args (consuming them). */
 bool
-parseWriterFlags(std::vector<std::string> &args, WriterFlags &flags)
+parseWriterFlags(std::vector<std::string> &args, trace::V3Options &opts)
 {
     std::vector<std::string> rest;
     for (size_t i = 0; i < args.size(); ++i) {
@@ -75,24 +69,22 @@ parseWriterFlags(std::vector<std::string> &args, WriterFlags &flags)
             if (++i >= args.size())
                 return false;
             if (args[i] == "raw") {
-                flags.v3.codec = trace::V3Codec::RAW;
+                opts.codec = trace::V3Codec::RAW;
             } else if (args[i] == "zlib") {
                 if (!trace::v3ZlibAvailable()) {
                     std::fprintf(stderr,
                                  "tracec: this build has no zlib\n");
                     return false;
                 }
-                flags.v3.codec = trace::V3Codec::ZLIB;
+                opts.codec = trace::V3Codec::ZLIB;
             } else {
                 return false;
             }
         } else if (args[i] == "--chunk") {
             if (++i >= args.size())
                 return false;
-            flags.v3.chunkRecords =
+            opts.chunkRecords =
                 unsigned(sim::parseCount(args[i].c_str(), "--chunk"));
-        } else if (args[i] == "--v2") {
-            flags.v2 = true;
         } else {
             rest.push_back(args[i]);
         }
@@ -101,22 +93,12 @@ parseWriterFlags(std::vector<std::string> &args, WriterFlags &flags)
     return true;
 }
 
-/** Copy @p src to @p out under @p flags; returns records written. */
+/** Copy @p src to @p out under @p opts; returns records written. */
 uint64_t
 writeStream(trace::TraceSource &src, const std::string &out,
-            const WriterFlags &flags, TraceError &err)
+            const trace::V3Options &opts, TraceError &err)
 {
-    if (flags.v2) {
-        trace::TraceFileWriter writer(out);
-        while (!src.done()) {
-            writer.write(*src.peek());
-            src.advance();
-        }
-        const uint64_t n = writer.written();
-        err = writer.close();
-        return n;
-    }
-    trace::TraceV3Writer writer(out, flags.v3);
+    trace::TraceV3Writer writer(out, opts);
     while (!src.done()) {
         writer.write(*src.peek());
         src.advance();
@@ -127,7 +109,7 @@ writeStream(trace::TraceSource &src, const std::string &out,
 }
 
 int
-cmdRecord(std::vector<std::string> args, const WriterFlags &flags)
+cmdRecord(std::vector<std::string> args, const trace::V3Options &opts)
 {
     if (args.size() != 4)
         return usage();
@@ -144,7 +126,7 @@ cmdRecord(std::vector<std::string> args, const WriterFlags &flags)
 
     auto src = workload.openTrace(hotspot, insts);
     TraceError err;
-    const uint64_t n = writeStream(*src, args[3], flags, err);
+    const uint64_t n = writeStream(*src, args[3], opts, err);
     if (!err.ok()) {
         std::fprintf(stderr, "tracec: %s\n", err.describe().c_str());
         return 1;
@@ -156,19 +138,20 @@ cmdRecord(std::vector<std::string> args, const WriterFlags &flags)
 }
 
 int
-cmdConvert(std::vector<std::string> args, const WriterFlags &flags)
+cmdConvert(std::vector<std::string> args, const trace::V3Options &opts)
 {
     if (args.size() != 2)
         return usage();
-    TraceError open_err;
-    auto src = trace::openTraceFile(args[0], &open_err);
-    if (!src || !open_err.ok()) {
+    trace::TraceV3Source src(args[0]);
+    if (!src.ok()) {
         std::fprintf(stderr, "tracec: %s\n",
-                     open_err.describe().c_str());
+                     src.error().describe().c_str());
         return 1;
     }
     TraceError err;
-    const uint64_t n = writeStream(*src, args[1], flags, err);
+    const uint64_t n = writeStream(src, args[1], opts, err);
+    if (err.ok())
+        err = src.error();
     if (!err.ok()) {
         std::fprintf(stderr, "tracec: %s\n", err.describe().c_str());
         return 1;
@@ -184,30 +167,11 @@ bool
 verifyOne(const std::string &path, uint64_t &records, uint64_t &digest,
           TraceError &err)
 {
-    auto src = trace::openTraceFile(path, &err);
-    if (!src || !err.ok())
-        return false;
-    uint64_t n = 0;
-    uint8_t buf[trace::wire::MAX_RECORD_BYTES];
-    uint64_t h = 14695981039346656037ULL;
-    while (!src->done()) {
-        const size_t len = trace::wire::encodeRecord(*src->peek(), buf);
-        for (size_t i = 0; i < len; ++i) {
-            h ^= buf[i];
-            h *= 1099511628211ULL;
-        }
-        src->advance();
-        ++n;
-    }
-    records = n;
-    digest = h;
-    // The stream may have ended early because of mid-file damage: ask
-    // the concrete source.
-    if (auto *v3 = dynamic_cast<trace::TraceV3Source *>(src.get()))
-        err = v3->error();
-    else if (auto *v2 =
-                 dynamic_cast<trace::FileTraceSource *>(src.get()))
-        err = v2->error();
+    trace::TraceV3Source src(path);
+    digest = trace::wire::streamDigest(src);
+    records = src.consumed();
+    // The stream may have ended early because of mid-file damage.
+    err = src.error();
     return err.ok();
 }
 
@@ -294,7 +258,7 @@ cmdIndex(const std::vector<std::string> &args)
 }
 
 int
-cmdCorpusBuild(std::vector<std::string> args, const WriterFlags &flags)
+cmdCorpusBuild(std::vector<std::string> args, const trace::V3Options &opts)
 {
     uint64_t insts = 0;
     std::vector<std::string> only;
@@ -365,9 +329,7 @@ cmdCorpusBuild(std::vector<std::string> args, const WriterFlags &flags)
 
             auto rec_src = w.openTrace(t, insts);
             TraceError err;
-            entry.records = writeStream(*rec_src, path,
-                                        WriterFlags{flags.v3, false},
-                                        err);
+            entry.records = writeStream(*rec_src, path, opts, err);
             if (!err.ok()) {
                 std::fprintf(stderr, "tracec: %s\n",
                              err.describe().c_str());
@@ -444,14 +406,14 @@ main(int argc, char **argv)
         return usage();
     const std::string cmd = argv[1];
     std::vector<std::string> args(argv + 2, argv + argc);
-    WriterFlags flags;
-    if (!parseWriterFlags(args, flags))
+    trace::V3Options opts;
+    if (!parseWriterFlags(args, opts))
         return usage();
 
     if (cmd == "record")
-        return cmdRecord(std::move(args), flags);
+        return cmdRecord(std::move(args), opts);
     if (cmd == "convert")
-        return cmdConvert(std::move(args), flags);
+        return cmdConvert(std::move(args), opts);
     if (cmd == "verify")
         return cmdVerify(args);
     if (cmd == "inspect")
@@ -459,7 +421,7 @@ main(int argc, char **argv)
     if (cmd == "index")
         return cmdIndex(args);
     if (cmd == "corpus-build")
-        return cmdCorpusBuild(std::move(args), flags);
+        return cmdCorpusBuild(std::move(args), opts);
     if (cmd == "corpus-verify")
         return cmdCorpusVerify(args);
     return usage();
