@@ -67,8 +67,10 @@ candidates()
         core::FrameConstructor ctor;
         std::vector<core::FrameCandidate> out;
         for (const auto &rec : recordedTrace()) {
-            if (auto cand = ctor.observe(rec))
+            if (auto cand = ctor.observe(rec)) {
+                ctor.materialize(*cand);
                 out.push_back(std::move(*cand));
+            }
             if (out.size() >= 256)
                 break;
         }
@@ -85,7 +87,7 @@ makeFrame(const core::FrameCandidate &cand, uint64_t id)
     frame->startPc = cand.startPc;
     frame->pcs = cand.pcs;
     frame->nextPc = cand.nextPc;
-    frame->body = opt::Optimizer::passthrough(cand.uops, cand.blocks);
+    frame->body = opt::Optimizer::passthrough(cand.uops(), cand.blocks());
     return frame;
 }
 
@@ -98,9 +100,10 @@ BM_ExecutorStep(benchmark::State &state)
     const auto &w = trace::findWorkload("gzip");
     const auto prog = w.buildProgram(0);
     x86::Executor exec(prog);
+    x86::StepInfo step;
     uint64_t insts = 0;
     for (auto _ : state) {
-        const auto &step = exec.step();
+        exec.step(step);
         benchmark::DoNotOptimize(step.nextPc);
         ++insts;
     }
@@ -212,9 +215,9 @@ BM_OptRemapFrame(benchmark::State &state)
     uint64_t uops = 0;
     for (auto _ : state) {
         const auto &cand = cands[i++ % cands.size()];
-        remapper.remap(cand.uops, cand.blocks, false, buf);
+        remapper.remap(cand.uops(), cand.blocks(), false, buf);
         benchmark::DoNotOptimize(buf.size());
-        uops += cand.uops.size();
+        uops += cand.uopCount;
     }
     state.counters["uops/s"] =
         benchmark::Counter(double(uops), benchmark::Counter::kIsRate);
@@ -231,9 +234,9 @@ BM_OptPassthroughFrame(benchmark::State &state)
     uint64_t uops = 0;
     for (auto _ : state) {
         const auto &cand = cands[i++ % cands.size()];
-        opt::Optimizer::passthrough(cand.uops, cand.blocks, false, out);
+        opt::Optimizer::passthrough(cand.uops(), cand.blocks(), false, out);
         benchmark::DoNotOptimize(out.size());
-        uops += cand.uops.size();
+        uops += cand.uopCount;
     }
     state.counters["uops/s"] =
         benchmark::Counter(double(uops), benchmark::Counter::kIsRate);
@@ -252,9 +255,9 @@ BM_OptOptimizeFrame(benchmark::State &state)
     uint64_t uops = 0;
     for (auto _ : state) {
         const auto &cand = cands[i++ % cands.size()];
-        optimizer.optimize(cand.uops, cand.blocks, nullptr, stats, out);
+        optimizer.optimize(cand.uops(), cand.blocks(), nullptr, stats, out);
         benchmark::DoNotOptimize(out.size());
-        uops += cand.uops.size();
+        uops += cand.uopCount;
     }
     state.counters["uops/s"] =
         benchmark::Counter(double(uops), benchmark::Counter::kIsRate);
@@ -274,10 +277,10 @@ BM_OptPassDce(benchmark::State &state)
     uint64_t uops = 0;
     for (auto _ : state) {
         const auto &cand = cands[i++ % cands.size()];
-        remapper.remap(cand.uops, cand.blocks, false, buf);
+        remapper.remap(cand.uops(), cand.blocks(), false, buf);
         opt::OptContext ctx{buf, cfg, nullptr, stats};
         benchmark::DoNotOptimize(opt::passDce(ctx));
-        uops += cand.uops.size();
+        uops += cand.uopCount;
     }
     state.counters["uops/s"] =
         benchmark::Counter(double(uops), benchmark::Counter::kIsRate);

@@ -29,8 +29,10 @@ harvestCandidates(const char *workload, unsigned count)
     core::FrameConstructor ctor;
     std::vector<core::FrameCandidate> out;
     while (!src.done() && out.size() < count) {
-        if (auto cand = ctor.observe(*src.peek()))
+        if (auto cand = ctor.observe(*src.peek())) {
+            ctor.materialize(*cand);
             out.push_back(std::move(*cand));
+        }
         src.advance();
     }
     return out;
@@ -57,9 +59,9 @@ BM_OptimizeFrame(benchmark::State &state)
     for (auto _ : state) {
         const auto &cand = cands[i++ % cands.size()];
         auto frame =
-            optimizer.optimize(cand.uops, cand.blocks, nullptr, stats);
+            optimizer.optimize(cand.uops(), cand.blocks(), nullptr, stats);
         benchmark::DoNotOptimize(frame.numUops());
-        uops += cand.uops.size();
+        uops += cand.uopCount;
     }
     state.counters["uops/s"] = benchmark::Counter(
         double(uops), benchmark::Counter::kIsRate);
@@ -75,7 +77,7 @@ BM_RemapOnly(benchmark::State &state)
     size_t i = 0;
     for (auto _ : state) {
         const auto &cand = cands[i++ % cands.size()];
-        auto body = opt::Optimizer::passthrough(cand.uops, cand.blocks);
+        auto body = opt::Optimizer::passthrough(cand.uops(), cand.blocks());
         benchmark::DoNotOptimize(body.numUops());
     }
 }
@@ -100,10 +102,10 @@ BM_DatapathPrimitives(benchmark::State &state)
     for (auto _ : state) {
         const auto &cand = cands[i++ % cands.size()];
         auto frame =
-            optimizer.optimize(cand.uops, cand.blocks, nullptr, stats);
+            optimizer.optimize(cand.uops(), cand.blocks(), nullptr, stats);
         prims += frame.prims.total();
         prim_cycles += latency.cyclesFor(frame.prims);
-        uops += cand.uops.size();
+        uops += cand.uopCount;
     }
     state.counters["prims/uop"] = double(prims) / double(uops);
     state.counters["cycles/uop"] = double(prim_cycles) / double(uops);
@@ -128,9 +130,9 @@ BM_PipelineDepthSweep(benchmark::State &state)
             // Candidates arrive at post-deduplication rates: the
             // sequencer filters rebuild candidates, so genuinely new
             // frames show up every few frame-lengths.
-            now += cand.uops.size() * 4 + 30;
+            now += cand.uopCount * 4 + 30;
             benchmark::DoNotOptimize(
-                pipe.schedule(now, unsigned(cand.uops.size())));
+                pipe.schedule(now, unsigned(cand.uopCount)));
         }
         state.counters["drop%"] = 100.0 * double(pipe.dropped()) /
             double(pipe.dropped() + pipe.accepted());

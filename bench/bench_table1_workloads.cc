@@ -35,8 +35,9 @@ main()
         uop::Translator trans;
         uint64_t x86n = 0, uopn = 0;
         std::vector<uop::Uop> flow;
+        x86::StepInfo info;
         for (unsigned step = 0; step < 30000; ++step) {
-            const auto info = exec.step();
+            exec.step(info);
             flow.clear();
             trans.translate(info.placed->inst, info.pc,
                             info.pc + info.placed->length, flow);

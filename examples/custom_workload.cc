@@ -68,9 +68,12 @@ main()
     std::vector<opt::ArchState> ring(512);
     uint64_t retired = 0;
     unsigned verified = 0, failed = 0;
+    x86::StepInfo step;
+    trace::TraceRecord rec;
     for (unsigned i = 0; i < 60000; ++i) {
         ring[retired % ring.size()] = snapshot(exec);
-        const auto rec = trace::TraceRecord::fromStep(exec.step());
+        exec.step(step);
+        trace::TraceRecord::fromStep(step, rec);
         ++retired;
         auto cand = ctor.observe(rec);
         if (!cand)
@@ -81,7 +84,8 @@ main()
         if (end < n || n > ring.size())
             continue;
 
-        const auto body = optimizer.optimize(cand->uops, cand->blocks,
+        ctor.materialize(*cand);
+        const auto body = optimizer.optimize(cand->uops(), cand->blocks(),
                                              &profile, stats);
         profile.observeInstance(cand->records);
 

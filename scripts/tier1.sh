@@ -8,10 +8,14 @@
 # honest).
 #
 # Usage: scripts/tier1.sh [build-dir] [asan-build-dir] [tsan-build-dir]
+#
+# The full-suite stage configures a Release tree, so it defaults to
+# build-release/: the plain `cmake -B build -S .` tier-1 command keeps
+# its own default-configured build/ tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUILD="${1:-build}"
+BUILD="${1:-build-release}"
 ASAN_BUILD="${2:-build-asan}"
 TSAN_BUILD="${3:-build-tsan}"
 JOBS="$(nproc 2>/dev/null || echo 4)"

@@ -17,21 +17,45 @@ FrameConstructor::FrameConstructor(ConstructorConfig cfg)
 {
 }
 
+const std::vector<Uop> &
+FrameCandidate::uops() const
+{
+    panic_if(uops_.size() != uopCount,
+             "candidate at 0x%08x read before materialize()", startPc);
+    return uops_;
+}
+
+const std::vector<uint16_t> &
+FrameCandidate::blocks() const
+{
+    panic_if(blocks_.size() != uopCount,
+             "candidate at 0x%08x read before materialize()", startPc);
+    return blocks_;
+}
+
+void
+FrameCandidate::clear()
+{
+    startPc = 0;
+    nextPc = 0;
+    dynamicExit = false;
+    closedByIncludedInst = false;
+    uopCount = 0;
+    numBlocks = 1;
+    pcs.clear();
+    records.clear();
+    uops_.clear();
+    blocks_.clear();
+}
+
 namespace {
 
-/** Reset a candidate to pristine state, keeping vector capacity. */
-void
-clearCandidate(FrameCandidate &cand)
+bool
+isIndirect(const x86::Inst &in)
 {
-    cand.startPc = 0;
-    cand.nextPc = 0;
-    cand.dynamicExit = false;
-    cand.closedByIncludedInst = false;
-    cand.numBlocks = 1;
-    cand.uops.clear();
-    cand.blocks.clear();
-    cand.pcs.clear();
-    cand.records.clear();
+    return (in.mnem == Mnem::JMP && in.form != x86::Form::REL) ||
+           (in.mnem == Mnem::CALL && in.form != x86::Form::REL) ||
+           in.mnem == Mnem::RET;
 }
 
 } // anonymous namespace
@@ -39,14 +63,14 @@ clearCandidate(FrameCandidate &cand)
 void
 FrameConstructor::abandon()
 {
-    clearCandidate(acc_);
+    acc_.clear();
     curBlock_ = 0;
 }
 
 void
 FrameConstructor::recycle(FrameCandidate &&cand)
 {
-    clearCandidate(cand);
+    cand.clear();
     spare_ = std::move(cand);
 }
 
@@ -54,11 +78,11 @@ std::optional<FrameCandidate>
 FrameConstructor::finish(uint32_t next_pc, bool dynamic_exit,
                          bool closed_by_included)
 {
-    if (acc_.uops.empty()) {
+    if (acc_.uopCount == 0) {
         abandon();
         return std::nullopt;
     }
-    if (acc_.uops.size() < cfg_.minUops) {
+    if (acc_.uopCount < cfg_.minUops) {
         ++tooSmall_;
         abandon();
         return std::nullopt;
@@ -78,19 +102,57 @@ FrameConstructor::finish(uint32_t next_pc, bool dynamic_exit,
 }
 
 void
-FrameConstructor::append(const TraceRecord &rec,
-                         const std::vector<Uop> &flow)
+FrameConstructor::append(const TraceRecord &rec, unsigned num_uops)
 {
-    if (acc_.uops.empty())
+    if (acc_.uopCount == 0)
         acc_.startPc = rec.pc;
-    const uint16_t inst_idx = uint16_t(acc_.pcs.size());
-    for (const auto &u : flow) {
-        acc_.blocks.push_back(curBlock_);
-        acc_.uops.push_back(u);
-        acc_.uops.back().instIdx = inst_idx;
-    }
+    acc_.uopCount += num_uops;
     acc_.pcs.push_back(rec.pc);
     acc_.records.push_back(rec);
+}
+
+void
+FrameConstructor::materialize(FrameCandidate &cand)
+{
+    cand.uops_.clear();
+    cand.blocks_.clear();
+    uint16_t block = 0;
+    const size_t n = cand.records.size();
+    for (size_t i = 0; i < n; ++i) {
+        const TraceRecord &rec = cand.records[i];
+        const x86::Inst &in = rec.inst;
+        const size_t first = cand.uops_.size();
+        translator_.translate(in, rec.pc, rec.pc + rec.length, cand.uops_);
+        for (size_t k = first; k < cand.uops_.size(); ++k)
+            cand.uops_[k].instIdx = uint16_t(i);
+        cand.blocks_.resize(cand.uops_.size(), block);
+
+        if (in.isCondBranch()) {
+            // Every branch inside a candidate was promoted: it asserts
+            // the branch keeps going the way it went.
+            Uop &br = cand.uops_.back();
+            panic_if(br.op != Op::BR, "branch flow must end in BR");
+            br.op = Op::ASSERT;
+            br.cc = rec.taken ? br.cc : x86::invert(br.cc);
+            br.target = 0;
+        } else if (isIndirect(in) && !(cand.dynamicExit && i + 1 == n)) {
+            // A stable target observe() converted: a value assertion
+            // on the jump target (§3.3).
+            Uop &jmpi = cand.uops_.back();
+            panic_if(jmpi.op != Op::JMPI, "indirect flow must end in JMPI");
+            jmpi.op = Op::ASSERT;
+            jmpi.cc = x86::Cond::E;
+            jmpi.valueAssert = true;
+            jmpi.assertOp = Op::CMP;
+            jmpi.imm = int32_t(rec.nextPc);
+        }
+        if (in.isControl())
+            ++block;
+    }
+    panic_if(cand.uops_.size() != cand.uopCount,
+             "candidate at 0x%08x materialized %zu of %u micro-ops",
+             cand.startPc, cand.uops_.size(), cand.uopCount);
+    ++materialized_;
 }
 
 std::optional<FrameCandidate>
@@ -101,10 +163,7 @@ FrameConstructor::observe(const TraceRecord &rec)
     // ---- learning ------------------------------------------------------
     if (in.isCondBranch())
         bias_.record(rec.pc, rec.taken);
-    const bool is_indirect =
-        (in.mnem == Mnem::JMP && in.form != x86::Form::REL) ||
-        (in.mnem == Mnem::CALL && in.form != x86::Form::REL) ||
-        in.mnem == Mnem::RET;
+    const bool is_indirect = isIndirect(in);
     if (is_indirect)
         targets_.record(rec.pc, rec.nextPc);
 
@@ -112,13 +171,15 @@ FrameConstructor::observe(const TraceRecord &rec)
     if (in.mnem == Mnem::LONGFLOW)
         return finish(rec.pc, false);
 
+    // Only the flow's length is kept here; materialize() decodes the
+    // body again for the candidates the engine keeps.
     flowScratch_.clear();
-    translator_.translate(in, rec.pc, rec.pc + rec.length, flowScratch_);
-    std::vector<Uop> &flow = flowScratch_;
+    const unsigned num_uops = translator_.translate(
+        in, rec.pc, rec.pc + rec.length, flowScratch_);
 
     // ---- size limit ------------------------------------------------------
     std::optional<FrameCandidate> completed;
-    if (acc_.uops.size() + flow.size() > cfg_.maxUops)
+    if (acc_.uopCount + num_uops > cfg_.maxUops)
         completed = finish(rec.pc, false);
 
     // ---- conditional branches -------------------------------------------
@@ -134,15 +195,9 @@ FrameConstructor::observe(const TraceRecord &rec)
             return completed ? completed : before;
         }
         // Promote: the BR micro-op becomes an assertion that the
-        // branch keeps going the biased way.
-        Uop &br = flow.back();
-        panic_if(br.op != Op::BR, "branch flow must end in BR");
-        const uint32_t taken_target = br.target;
-        br.op = Op::ASSERT;
-        br.cc = rec.taken ? br.cc : x86::invert(br.cc);
-        br.target = 0;
-        const bool backward = rec.taken && taken_target <= rec.pc;
-        append(rec, flow);
+        // branch keeps going the biased way (see materialize()).
+        const bool backward = rec.taken && in.target <= rec.pc;
+        append(rec, num_uops);
         ++curBlock_;
         if (backward) {
             // Loop back-edge: close the frame here so loop frames
@@ -158,30 +213,23 @@ FrameConstructor::observe(const TraceRecord &rec)
 
     // ---- indirect jumps ---------------------------------------------------
     if (is_indirect) {
-        Uop &jmpi = flow.back();
-        panic_if(jmpi.op != Op::JMPI, "indirect flow must end in JMPI");
         const uint32_t stable = targets_.stableTarget(rec.pc);
         if (stable != 0 && stable == rec.nextPc) {
             // Convert to a value assertion on the jump target and keep
-            // building through the return (§3.3).
-            jmpi.op = Op::ASSERT;
-            jmpi.cc = x86::Cond::E;
-            jmpi.valueAssert = true;
-            jmpi.assertOp = Op::CMP;
-            jmpi.imm = int32_t(stable);
-            append(rec, flow);
+            // building through the return (§3.3; see materialize()).
+            append(rec, num_uops);
             ++curBlock_;
             return completed;
         }
         // Unstable target: the frame ends *with* the indirect jump
         // (the Figure 2 frame ends with "jump (ET2)").
-        append(rec, flow);
+        append(rec, num_uops);
         auto done = finish(rec.nextPc, true, true);
         return completed ? completed : done;
     }
 
     // ---- direct jumps and calls continue the frame -------------------------
-    append(rec, flow);
+    append(rec, num_uops);
     if (in.isControl())
         ++curBlock_;
     return completed;

@@ -36,7 +36,12 @@ struct ConstructorConfig
     unsigned targetStableThreshold = 8;
 };
 
-/** A completed frame candidate, ready for the optimizer. */
+/**
+ * A completed frame candidate.  Construction records only what decides
+ * whether the candidate is kept (its span, its records, its size); the
+ * uop body is built by FrameConstructor::materialize, and only for the
+ * candidates the engine keeps.
+ */
 struct FrameCandidate
 {
     uint32_t startPc = 0;
@@ -46,13 +51,26 @@ struct FrameCandidate
     /// of it (indirect-exit and loop-back-assert closures) rather than
     /// outside it (unbiased branch, size limit, long-flow closures).
     bool closedByIncludedInst = false;
-    std::vector<uop::Uop> uops;
-    std::vector<uint16_t> blocks;
+    unsigned uopCount = 0;      ///< micro-ops in the (materialized) body
     std::vector<uint32_t> pcs;
     unsigned numBlocks = 1;
 
     /** The observed instance (alias profiling, verification). */
     std::vector<trace::TraceRecord> records;
+
+    /** The body's micro-ops; panics unless materialized. */
+    const std::vector<uop::Uop> &uops() const;
+    /** Block id of each micro-op; panics unless materialized. */
+    const std::vector<uint16_t> &blocks() const;
+
+  private:
+    friend class FrameConstructor;
+
+    /** Reset to pristine state, keeping vector capacity. */
+    void clear();
+
+    std::vector<uop::Uop> uops_;
+    std::vector<uint16_t> blocks_;
 };
 
 /** Retired-stream frame synthesis. */
@@ -67,6 +85,16 @@ class FrameConstructor
      * have started a fresh accumulation).
      */
     std::optional<FrameCandidate> observe(const trace::TraceRecord &rec);
+
+    /**
+     * Build @p cand's uop body and block ids from its records: each
+     * instruction's decode flow, with promoted branches turned into
+     * assertions in the direction they went, indirect jumps into value
+     * assertions on their target (except the final JMPI of a
+     * dynamic-exit candidate), and each instruction's block id the
+     * number of control instructions before it.
+     */
+    void materialize(FrameCandidate &cand);
 
     /** Discard the current accumulation (pipeline flush, redirect). */
     void abandon();
@@ -84,6 +112,7 @@ class FrameConstructor
 
     uint64_t candidatesEmitted() const { return emitted_; }
     uint64_t tooSmallDiscarded() const { return tooSmall_; }
+    uint64_t candidatesMaterialized() const { return materialized_; }
 
   private:
     /** Close the accumulation; null if below the minimum size. */
@@ -91,9 +120,8 @@ class FrameConstructor
                                          bool dynamic_exit,
                                          bool closed_by_included = false);
 
-    /** Append one instruction's decode flow to the accumulation. */
-    void append(const trace::TraceRecord &rec,
-                const std::vector<uop::Uop> &flow);
+    /** Add one instruction of @p num_uops micro-ops to the accumulation. */
+    void append(const trace::TraceRecord &rec, unsigned num_uops);
 
     ConstructorConfig cfg_;
     BiasTable bias_;
@@ -106,6 +134,7 @@ class FrameConstructor
     uint16_t curBlock_ = 0;
     uint64_t emitted_ = 0;
     uint64_t tooSmall_ = 0;
+    uint64_t materialized_ = 0;
 };
 
 } // namespace replay::core

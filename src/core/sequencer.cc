@@ -84,13 +84,16 @@ RePlayEngine::enqueueCandidate(FrameCandidate &cand, uint64_t now)
 
     uint64_t ready_at = now;
     if (cfg_.optimize) {
-        const auto done = optPipe_.schedule(now, unsigned(cand.uops.size()));
+        const auto done = optPipe_.schedule(now, cand.uopCount);
         if (!done) {
             ++stats_.counter("optimizer_drops");
             return;
         }
         ready_at = *done;
     }
+
+    // Kept: only now is the uop body worth building.
+    constructor_.materialize(cand);
 
     // A recycled frame keeps its vector capacities; everything else is
     // reassigned below, and the optimizer overwrites body wholesale.
@@ -107,17 +110,17 @@ RePlayEngine::enqueueCandidate(FrameCandidate &cand, uint64_t now)
     frame->tier = FrameTier::FULL;
     frame->generation = 0;
     if (!cfg_.optimize) {
-        opt::Optimizer::passthrough(cand.uops, cand.blocks, true,
+        opt::Optimizer::passthrough(cand.uops(), cand.blocks(), true,
                                     frame->body);
     } else if (tier_) {
         // Tiered admission: the cheap subset gets the frame into the
         // cache immediately; the background workers re-run the full
         // budget once it proves hot.
-        cheapOptimizer_.optimize(cand.uops, cand.blocks, &profile_,
+        cheapOptimizer_.optimize(cand.uops(), cand.blocks(), &profile_,
                                  optStats_, frame->body);
         frame->tier = FrameTier::CHEAP;
     } else {
-        optimizer_.optimize(cand.uops, cand.blocks, &profile_,
+        optimizer_.optimize(cand.uops(), cand.blocks(), &profile_,
                             optStats_, frame->body);
     }
 

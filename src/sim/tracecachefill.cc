@@ -14,13 +14,27 @@ TraceCacheUnit::TraceCacheUnit(unsigned capacity_uops,
 }
 
 void
+TraceCacheUnit::buildBody()
+{
+    uops_.clear();
+    for (size_t i = 0; i < pcs_.size(); ++i) {
+        const size_t first = uops_.size();
+        translator_.translate(insts_[i], pcs_[i], pcs_[i] + lengths_[i],
+                              uops_);
+        for (size_t k = first; k < uops_.size(); ++k)
+            uops_[k].instIdx = uint16_t(i);
+    }
+}
+
+void
 TraceCacheUnit::finishTrace(uint32_t next_pc)
 {
-    if (uops_.size() >= 4) {
+    if (numUops_ >= 4) {
         // Skip rebuilds of an identical or longer cached trace (early
         // exits are handled by prefix matching at fetch).
         const core::FramePtr existing = cache_.probe(startPc_);
         if (!existing || existing->pcs.size() < pcs_.size()) {
+            buildBody();
             auto trace_frame = std::make_shared<core::Frame>();
             trace_frame->id = nextId_++;
             trace_frame->startPc = startPc_;
@@ -32,8 +46,10 @@ TraceCacheUnit::finishTrace(uint32_t next_pc)
             cache_.insert(std::move(trace_frame));
         }
     }
-    uops_.clear();
     pcs_.clear();
+    insts_.clear();
+    lengths_.clear();
+    numUops_ = 0;
     branches_ = 0;
 }
 
@@ -46,19 +62,18 @@ TraceCacheUnit::observe(const TraceRecord &rec)
         return;
     }
 
-    std::vector<uop::Uop> flow = translator_.translate(
-        in, rec.pc, rec.pc + rec.length);
-    if (uops_.size() + flow.size() > maxUops_)
+    uops_.clear();
+    const unsigned num_uops =
+        translator_.translate(in, rec.pc, rec.pc + rec.length, uops_);
+    if (numUops_ + num_uops > maxUops_)
         finishTrace(rec.pc);
 
-    if (uops_.empty())
+    if (numUops_ == 0)
         startPc_ = rec.pc;
-    const uint16_t inst_idx = uint16_t(pcs_.size());
-    for (auto &u : flow) {
-        u.instIdx = inst_idx;
-        uops_.push_back(u);
-    }
+    numUops_ += num_uops;
     pcs_.push_back(rec.pc);
+    insts_.push_back(in);
+    lengths_.push_back(rec.length);
 
     const bool is_branch_uop =
         in.isCondBranch() ||

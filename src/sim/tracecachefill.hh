@@ -35,14 +35,22 @@ class TraceCacheUnit
   private:
     void finishTrace(uint32_t next_pc);
 
+    /** Decode the accumulated instructions into a trace body. */
+    void buildBody();
+
     unsigned maxBranches_;
     unsigned maxUops_;
     uop::Translator translator_;
     core::FrameCache cache_;
 
-    // Accumulation state.
-    std::vector<uop::Uop> uops_;
+    // Accumulation state: the instructions and their uop count.  Most
+    // traces repeat one already cached, so the body is decoded only
+    // when a trace is inserted.
     std::vector<uint32_t> pcs_;
+    std::vector<x86::Inst> insts_;
+    std::vector<uint8_t> lengths_;
+    unsigned numUops_ = 0;
+    std::vector<uop::Uop> uops_;    ///< decode scratch
     uint32_t startPc_ = 0;
     unsigned branches_ = 0;
     uint64_t nextId_ = 1;

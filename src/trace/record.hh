@@ -43,8 +43,11 @@ struct TraceRecord
     x86::MemOp memOps[MAX_MEM_OPS];
     x86::FRegWrite fregWrite;
 
-    /** Populate from an executor step. */
-    static TraceRecord fromStep(const x86::StepInfo &step);
+    /**
+     * Overwrite @p rec (typically a reused ring slot) with an executor
+     * step; every field is written, unused slots included.
+     */
+    static void fromStep(const x86::StepInfo &step, TraceRecord &rec);
 
     bool isControl() const { return inst.isControl(); }
     bool isCondBranch() const { return inst.isCondBranch(); }
@@ -68,6 +71,8 @@ class TraceSource
     /**
      * Record @p ahead positions past the cursor (0 = next record), or
      * nullptr if the trace ends first. ahead must be < LOOKAHEAD.
+     * The record may be overwritten once the cursor advances past it:
+     * use or copy it before that advance().
      */
     virtual const TraceRecord *peek(unsigned ahead = 0) = 0;
 

@@ -10,12 +10,19 @@ ExecutorTraceSource::ExecutorTraceSource(const x86::Program &program,
 {
 }
 
-void
-ExecutorTraceSource::fill(unsigned n)
+ExecutorTraceSource::ExecutorTraceSource(
+    std::unique_ptr<const x86::Program> program, uint64_t max_insts)
+    : owned_(std::move(program)), exec_(*owned_), budget_(max_insts)
 {
-    while (count_ < n && budget_ > 0) {
-        const size_t slot = (head_ + count_) % ring_.size();
-        ring_[slot] = TraceRecord::fromStep(exec_.step());
+}
+
+void
+ExecutorTraceSource::refill()
+{
+    while (count_ < ring_.size() && budget_ > 0) {
+        exec_.step(step_);
+        TraceRecord::fromStep(step_,
+                              ring_[(head_ + count_) % ring_.size()]);
         ++count_;
         --budget_;
     }
@@ -25,7 +32,8 @@ const TraceRecord *
 ExecutorTraceSource::peek(unsigned ahead)
 {
     panic_if(ahead >= LOOKAHEAD, "peek(%u) beyond lookahead", ahead);
-    fill(ahead + 1);
+    if (ahead >= count_)
+        refill();
     if (ahead >= count_)
         return nullptr;
     return &ring_[(head_ + ahead) % ring_.size()];
@@ -34,7 +42,8 @@ ExecutorTraceSource::peek(unsigned ahead)
 void
 ExecutorTraceSource::advance()
 {
-    fill(1);
+    if (count_ == 0)
+        refill();
     panic_if(count_ == 0, "advance past end of trace");
     head_ = (head_ + 1) % ring_.size();
     --count_;
@@ -44,18 +53,21 @@ ExecutorTraceSource::advance()
 bool
 ExecutorTraceSource::done()
 {
-    fill(1);
+    if (count_ == 0)
+        refill();
     return count_ == 0;
 }
 
 std::vector<TraceRecord>
 collectTrace(const x86::Program &program, uint64_t max_insts)
 {
-    std::vector<TraceRecord> records;
-    records.reserve(max_insts);
+    std::vector<TraceRecord> records(max_insts);
     x86::Executor exec(program);
-    for (uint64_t i = 0; i < max_insts; ++i)
-        records.push_back(TraceRecord::fromStep(exec.step()));
+    x86::StepInfo step;
+    for (TraceRecord &rec : records) {
+        exec.step(step);
+        TraceRecord::fromStep(step, rec);
+    }
     return records;
 }
 

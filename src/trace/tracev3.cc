@@ -474,8 +474,13 @@ TraceV3Writer::dumpProgram(const x86::Program &program, uint64_t insts,
 {
     TraceV3Writer writer(path, opts);
     x86::Executor exec(program);
-    for (uint64_t i = 0; i < insts; ++i)
-        writer.write(TraceRecord::fromStep(exec.step()));
+    x86::StepInfo step;
+    TraceRecord rec;
+    for (uint64_t i = 0; i < insts; ++i) {
+        exec.step(step);
+        TraceRecord::fromStep(step, rec);
+        writer.write(rec);
+    }
     const TraceError err = writer.close();
     fatal_if(!err.ok(), "dumping v3 trace to '%s': %s", path.c_str(),
              err.describe().c_str());

@@ -82,7 +82,7 @@ struct Workload
     /** Synthesize the program for hot spot @p trace_idx (0-based). */
     x86::Program buildProgram(unsigned trace_idx) const;
 
-    /** Open a trace source over hot spot @p trace_idx. */
+    /** Open a trace source over hot spot @p trace_idx; it owns the program. */
     std::unique_ptr<TraceSource>
     openTrace(unsigned trace_idx, uint64_t max_insts) const;
 };

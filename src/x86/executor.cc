@@ -1,5 +1,6 @@
 #include "x86/executor.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/bitfield.hh"
@@ -96,8 +97,17 @@ SparseMemory::write(uint32_t addr, unsigned size, uint32_t value)
 void
 SparseMemory::loadSegment(const DataSegment &seg)
 {
-    for (size_t i = 0; i < seg.bytes.size(); ++i)
-        poke(seg.base + uint32_t(i), seg.bytes[i]);
+    // One page lookup and one copy per page the segment touches.
+    size_t done = 0;
+    while (done < seg.bytes.size()) {
+        const uint32_t addr = seg.base + uint32_t(done);
+        const uint32_t off = addr & (PAGE_SIZE - 1);
+        const size_t n =
+            std::min<size_t>(PAGE_SIZE - off, seg.bytes.size() - done);
+        std::memcpy(touchPage(addr >> PAGE_BITS)->data() + off,
+                    seg.bytes.data() + done, n);
+        done += n;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -191,15 +201,19 @@ subOverflows(uint32_t a, uint32_t b, uint32_t r)
 
 } // anonymous namespace
 
-StepInfo
-Executor::step()
+void
+Executor::step(StepInfo &info)
 {
     const Program::Placed &placed = program_.at(pc_);
     const Inst &in = placed.inst;
 
-    StepInfo info;
     info.pc = pc_;
     info.placed = &placed;
+    info.branchTaken = false;
+    info.wroteFlags = false;
+    info.regWrites.clear();
+    info.fregWrites.clear();
+    info.memOps.clear();
     uint32_t next = pc_ + placed.length;
 
     auto srcValue = [&]() -> uint32_t {
@@ -528,14 +542,14 @@ Executor::step()
     info.flagsAfter = flags_;
     pc_ = next;
     ++instCount_;
-    return info;
 }
 
 void
 Executor::run(uint64_t count)
 {
+    StepInfo info;
     for (uint64_t i = 0; i < count; ++i)
-        step();
+        step(info);
 }
 
 } // namespace replay::x86

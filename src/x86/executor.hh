@@ -114,8 +114,11 @@ class Executor
   public:
     explicit Executor(const Program &program);
 
-    /** Execute the instruction at the current PC. */
-    StepInfo step();
+    /**
+     * Execute the instruction at the current PC, overwriting @p info
+     * with its side effects.  Callers reuse one StepInfo across steps.
+     */
+    void step(StepInfo &info);
 
     /** Execute until @p count instructions have retired. */
     void run(uint64_t count);

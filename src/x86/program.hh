@@ -10,7 +10,6 @@
 #define REPLAY_X86_PROGRAM_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "x86/inst.hh"
@@ -40,10 +39,17 @@ class Program
             uint32_t entry, uint32_t stack_top);
 
     /** Fetch the instruction at @p addr; fatal if none is placed there. */
-    const Placed &at(uint32_t addr) const;
+    const Placed &
+    at(uint32_t addr) const
+    {
+        const Placed *placed = find(addr);
+        if (!placed) [[unlikely]]
+            notPlaced(addr);
+        return *placed;
+    }
 
     /** True if an instruction starts at @p addr. */
-    bool contains(uint32_t addr) const;
+    bool contains(uint32_t addr) const { return find(addr) != nullptr; }
 
     const std::vector<Placed> &code() const { return code_; }
     const std::vector<DataSegment> &data() const { return data_; }
@@ -54,8 +60,25 @@ class Program
     uint32_t codeBytes() const { return codeBytes_; }
 
   private:
+    /** The instruction starting at @p addr, or null. */
+    const Placed *
+    find(uint32_t addr) const
+    {
+        const uint32_t off = addr - indexBase_;     // wraps below base
+        if (off >= index_.size())
+            return nullptr;
+        const uint32_t slot = index_[off];
+        return slot ? &code_[slot - 1] : nullptr;
+    }
+
+    [[noreturn]] void notPlaced(uint32_t addr) const;
+
     std::vector<Placed> code_;
-    std::unordered_map<uint32_t, size_t> byAddr_;
+    /// Dense address index over [indexBase_, highest instruction start]:
+    /// 1 + the code_ position of the instruction starting there, or 0.
+    /// Code is laid out contiguously, so this is one slot per code byte.
+    std::vector<uint32_t> index_;
+    uint32_t indexBase_ = 0;
     std::vector<DataSegment> data_;
     uint32_t entry_;
     uint32_t stackTop_;

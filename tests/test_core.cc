@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/aliasprofile.hh"
 #include "core/biastable.hh"
 #include "core/constructor.hh"
@@ -282,30 +284,32 @@ TEST(FrameConstructor, BuildsFramesFromBiasedLoop)
     std::vector<FrameCandidate> candidates;
     while (!src.done()) {
         auto cand = ctor.observe(*src.peek());
-        if (cand)
+        if (cand) {
+            ctor.materialize(*cand);
             candidates.push_back(std::move(*cand));
+        }
         src.advance();
     }
     ASSERT_FALSE(candidates.empty());
 
     for (const auto &cand : candidates) {
-        EXPECT_GE(cand.uops.size(), 8u);
-        EXPECT_LE(cand.uops.size(), 256u);
+        EXPECT_GE(cand.uops().size(), 8u);
+        EXPECT_LE(cand.uops().size(), 256u);
         EXPECT_EQ(cand.pcs.size(), cand.records.size());
         // Frames contain no conditional-branch micro-ops: promoted
         // branches are asserts.
-        for (const auto &u : cand.uops)
+        for (const auto &u : cand.uops())
             EXPECT_NE(u.op, uop::Op::BR);
         // Block annotations are monotone.
-        for (size_t i = 1; i < cand.blocks.size(); ++i)
-            EXPECT_GE(cand.blocks[i], cand.blocks[i - 1]);
+        for (size_t i = 1; i < cand.blocks().size(); ++i)
+            EXPECT_GE(cand.blocks()[i], cand.blocks()[i - 1]);
     }
 
     // The loop's biased branch must eventually be promoted: some
     // candidate contains an assertion.
     bool saw_assert = false;
     for (const auto &cand : candidates)
-        for (const auto &u : cand.uops)
+        for (const auto &u : cand.uops())
             saw_assert |= u.op == uop::Op::ASSERT;
     EXPECT_TRUE(saw_assert);
 }
@@ -328,8 +332,9 @@ TEST(FrameConstructor, MaxSizeRespected)
     unsigned emitted = 0;
     while (!src.done()) {
         if (auto cand = ctor.observe(*src.peek())) {
-            EXPECT_LE(cand->uops.size(), cfg.maxUops);
-            EXPECT_GE(cand->uops.size(), cfg.maxUops - 8);
+            ctor.materialize(*cand);
+            EXPECT_LE(cand->uops().size(), cfg.maxUops);
+            EXPECT_GE(cand->uops().size(), cfg.maxUops - 8);
             ++emitted;
         }
         src.advance();
@@ -360,7 +365,8 @@ TEST(FrameConstructor, StableReturnBecomesValueAssert)
     bool saw_value_assert = false;
     while (!src.done()) {
         if (auto cand = ctor.observe(*src.peek())) {
-            for (const auto &u : cand->uops) {
+            ctor.materialize(*cand);
+            for (const auto &u : cand->uops()) {
                 if (u.op == uop::Op::ASSERT && u.valueAssert)
                     saw_value_assert = true;
             }
@@ -527,8 +533,9 @@ TEST(FrameConstructor, LongflowEndsFrame)
     while (!src.done()) {
         if (auto cand = ctor.observe(*src.peek())) {
             ++emitted;
+            ctor.materialize(*cand);
             // No frame may contain the long-flow instruction.
-            for (const auto &u : cand->uops)
+            for (const auto &u : cand->uops())
                 EXPECT_NE(u.op, uop::Op::LONGFLOW);
         }
         src.advance();
@@ -553,6 +560,195 @@ TEST(FrameConstructor, CandidateRecordsMatchPcs)
         }
         src.advance();
     }
+}
+
+// ---------------------------------------------------------------------
+// Candidate bodies (FrameConstructor::materialize)
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Every candidate of @p prog's first @p insts records, materialized. */
+std::vector<FrameCandidate>
+harvestMaterialized(const x86::Program &prog, uint64_t insts,
+                    ConstructorConfig cfg = {})
+{
+    FrameConstructor ctor(cfg);
+    std::vector<FrameCandidate> out;
+    for (const TraceRecord &rec : trace::collectTrace(prog, insts)) {
+        if (auto cand = ctor.observe(rec)) {
+            ctor.materialize(*cand);
+            out.push_back(std::move(*cand));
+        }
+    }
+    return out;
+}
+
+/** Each micro-op's block id is the control instructions before it. */
+void
+expectBlocksCountControls(const FrameCandidate &cand)
+{
+    const auto &uops = cand.uops();
+    ASSERT_EQ(cand.blocks().size(), uops.size());
+    for (size_t k = 0; k < uops.size(); ++k) {
+        const unsigned inst = uops[k].instIdx;
+        ASSERT_LT(inst, cand.records.size());
+        unsigned controls = 0;
+        for (unsigned i = 0; i < inst; ++i)
+            controls += cand.records[i].isControl();
+        EXPECT_EQ(cand.blocks()[k], controls)
+            << "candidate @0x" << std::hex << cand.startPc << std::dec
+            << " uop " << k;
+    }
+}
+
+/**
+ * A call to a one-instruction callee, then four adds and a jump back:
+ * 13 micro-ops from the return address around to the RET.
+ */
+x86::Program
+callLoopProgram()
+{
+    AsmBuilder b;
+    b.label("loop");
+    b.call("callee");
+    for (int i = 0; i < 4; ++i)
+        b.addRI(Reg::EAX, i + 1);
+    b.jmp("loop");
+    b.label("callee");
+    b.addRI(Reg::EBX, 1);
+    b.ret();
+    return b.build();
+}
+
+} // namespace
+
+TEST(FrameMaterialize, ConvertedIndirectBeforeSizeLimitStaysAssert)
+{
+    // With maxUops equal to one loop trip, every candidate ends with
+    // the RET.  While its target is unstable the RET closes the
+    // candidate itself (dynamicExit) and stays a JMPI; once stable it
+    // is converted, construction continues, and the size limit closes
+    // the candidate at the next instruction: dynamicExit is false and
+    // the final RET must stay a value assertion.
+    ConstructorConfig cfg;
+    cfg.maxUops = 13;
+    const auto cands = harvestMaterialized(callLoopProgram(), 600, cfg);
+    unsigned unstable = 0, converted = 0;
+    for (const FrameCandidate &cand : cands) {
+        ASSERT_EQ(cand.records.back().inst.mnem, x86::Mnem::RET);
+        const uop::Uop &last = cand.uops().back();
+        const uint32_t ret_target = cand.records.back().nextPc;
+        if (cand.dynamicExit) {
+            ++unstable;
+            EXPECT_TRUE(cand.closedByIncludedInst);
+            EXPECT_EQ(last.op, uop::Op::JMPI);
+            EXPECT_FALSE(last.valueAssert);
+        } else {
+            ++converted;
+            EXPECT_FALSE(cand.closedByIncludedInst);
+            EXPECT_EQ(cand.uops().size(), cfg.maxUops);
+            EXPECT_EQ(cand.nextPc, ret_target);
+            EXPECT_EQ(last.op, uop::Op::ASSERT);
+            EXPECT_TRUE(last.valueAssert);
+            EXPECT_EQ(last.assertOp, uop::Op::CMP);
+            EXPECT_EQ(last.cc, Cond::E);
+            EXPECT_EQ(last.imm, int32_t(ret_target));
+        }
+        expectBlocksCountControls(cand);
+    }
+    EXPECT_GT(unstable, 0u);
+    EXPECT_GT(converted, 10u);
+}
+
+TEST(FrameMaterialize, BlockIdsCountControlInstructions)
+{
+    // In the converted call-loop candidate the adds and the JMP are in
+    // block 0, the CALL in block 1, the callee (and its RET) in 2.
+    ConstructorConfig cfg;
+    cfg.maxUops = 13;
+    const auto cands = harvestMaterialized(callLoopProgram(), 600, cfg);
+    ASSERT_FALSE(cands.empty());
+    const FrameCandidate &cand = cands.back();
+    ASSERT_FALSE(cand.dynamicExit);
+    ASSERT_EQ(cand.records.size(), 8u);     // 4 adds, jmp, call, add, ret
+    const std::vector<uint16_t> want_by_inst = {0, 0, 0, 0, 0, 1, 2, 2};
+    for (size_t k = 0; k < cand.uops().size(); ++k)
+        EXPECT_EQ(cand.blocks()[k], want_by_inst[cand.uops()[k].instIdx]);
+    EXPECT_EQ(cand.numBlocks, 4u);
+
+    // And on a synthesized workload, for every candidate.
+    const auto w_cands = harvestMaterialized(
+        trace::findWorkload("vortex").buildProgram(0), 20000);
+    ASSERT_GT(w_cands.size(), 10u);
+    for (const FrameCandidate &c : w_cands)
+        expectBlocksCountControls(c);
+}
+
+TEST(FrameMaterialize, LoopBackEdgeClosureAssertsBothBranches)
+{
+    // A counted loop with a never-taken forward branch.  Once both
+    // branches are promoted, each candidate is one whole iteration,
+    // closed by the backward branch it includes; its successor is its
+    // own start.  The taken back edge asserts its condition as is, the
+    // not-taken forward branch asserts the inverted condition.
+    AsmBuilder b;
+    b.xorRR(Reg::ECX, Reg::ECX);
+    b.label("loop");
+    for (int i = 0; i < 6; ++i)
+        b.addRI(Reg::EAX, i + 1);
+    b.cmpRI(Reg::EAX, -1);
+    b.jcc(Cond::E, "skip");
+    b.addRI(Reg::EBX, 1);
+    b.label("skip");
+    b.incR(Reg::ECX);
+    b.cmpRI(Reg::ECX, 1 << 30);
+    b.jcc(Cond::NE, "loop");
+    const x86::Program prog = b.build();
+
+    unsigned loops = 0;
+    for (const FrameCandidate &cand : harvestMaterialized(prog, 3000)) {
+        if (!cand.closedByIncludedInst)
+            continue;
+        ++loops;
+        EXPECT_EQ(cand.startPc, prog.code()[1].addr);   // the loop head
+        EXPECT_EQ(cand.nextPc, cand.startPc);
+        EXPECT_FALSE(cand.dynamicExit);
+        const auto &uops = cand.uops();
+        EXPECT_EQ(uops.back().op, uop::Op::ASSERT);
+        EXPECT_EQ(uops.back().cc, Cond::NE);
+        EXPECT_EQ(uops.back().target, 0u);
+        unsigned asserts = 0;
+        for (const uop::Uop &u : uops) {
+            EXPECT_NE(u.op, uop::Op::BR);
+            if (u.op != uop::Op::ASSERT)
+                continue;
+            ++asserts;
+            EXPECT_EQ(u.cc, Cond::NE);  // E inverted, NE as taken
+        }
+        EXPECT_EQ(asserts, 2u);
+        EXPECT_EQ(cand.numBlocks, 3u);
+        expectBlocksCountControls(cand);
+    }
+    EXPECT_GT(loops, 50u);
+}
+
+TEST(FrameMaterialize, BodyReadBeforeMaterializePanics)
+{
+    ConstructorConfig cfg;
+    cfg.maxUops = 13;
+    FrameConstructor ctor(cfg);
+    std::optional<FrameCandidate> cand;
+    for (const TraceRecord &rec :
+         trace::collectTrace(callLoopProgram(), 600)) {
+        if ((cand = ctor.observe(rec)))
+            break;
+    }
+    ASSERT_TRUE(cand.has_value());
+    EXPECT_DEATH(cand->uops(), "before materialize");
+    EXPECT_DEATH(cand->blocks(), "before materialize");
+    ctor.materialize(*cand);
+    EXPECT_EQ(cand->uops().size(), cand->uopCount);
 }
 
 // ---------------------------------------------------------------------
@@ -856,6 +1052,28 @@ TEST(RePlayEngine, QuarantineBlocksCandidateConstruction)
     EXPECT_EQ(engine.cache().numFrames(), 0u);
     EXPECT_EQ(engine.stats().get("candidates"), 0u);
     EXPECT_GT(engine.stats().get("quarantine_candidate_drops"), 0u);
+    EXPECT_EQ(engine.constructor().candidatesMaterialized(), 0u);
+}
+
+TEST(RePlayEngine, MaterializesOnlyKeptCandidates)
+{
+    // Construction repeats the same hot paths, so most candidates are
+    // duplicates of a cached or in-flight frame.  Only the candidates
+    // that become frames may pay for a uop body.
+    RePlayEngine engine;
+    auto src = trace::findWorkload("crafty").openTrace(0, 60000);
+    uint64_t now = 0;
+    while (!src->done()) {
+        engine.observeRetired(*src->peek(), now);
+        src->advance();
+        now += 2;
+    }
+    const FrameConstructor &ctor = engine.constructor();
+    const uint64_t kept = engine.stats().get("candidates");
+    EXPECT_GT(kept, 0u);
+    EXPECT_GT(engine.stats().get("duplicate_candidates"), kept);
+    EXPECT_EQ(ctor.candidatesMaterialized(), kept);
+    EXPECT_LT(ctor.candidatesMaterialized(), ctor.candidatesEmitted());
 }
 
 // ---------------------------------------------------------------------------

@@ -244,6 +244,13 @@ struct TierGoldenCell
     uint64_t x86Retired;
 };
 
+/** Print a tier cell by workload name (see PrintTo for GoldenCell). */
+void
+PrintTo(const TierGoldenCell &cell, std::ostream *os)
+{
+    *os << cell.workload << "/RPO";
+}
+
 /**
  * Captured with:
  *

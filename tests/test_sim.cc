@@ -14,6 +14,7 @@
 
 #include "sim/runner.hh"
 #include "sim/tracecachefill.hh"
+#include "trace/tracer.hh"
 #include "util/logging.hh"
 #include "testdir.hh"
 
@@ -191,12 +192,18 @@ TEST(TraceCacheFill, BuildsBoundedTraces)
     const auto &w = trace::findWorkload("parser");
     const auto prog = w.buildProgram(0);
     x86::Executor exec(prog);
-    for (unsigned i = 0; i < 30000; ++i)
-        unit.observe(trace::TraceRecord::fromStep(exec.step()));
+    x86::StepInfo step;
+    trace::TraceRecord rec;
+    for (unsigned i = 0; i < 30000; ++i) {
+        exec.step(step);
+        trace::TraceRecord::fromStep(step, rec);
+        unit.observe(rec);
+    }
     EXPECT_GT(unit.cache().numFrames(), 5u);
     // Every built trace respects the caps.
     for (unsigned i = 0; i < 30000; ++i) {
-        const auto rec = trace::TraceRecord::fromStep(exec.step());
+        exec.step(step);
+        trace::TraceRecord::fromStep(step, rec);
         if (auto t = unit.lookup(rec.pc)) {
             EXPECT_LE(t->numUops(), 32u);
             unsigned branches = 0;
@@ -207,6 +214,43 @@ TEST(TraceCacheFill, BuildsBoundedTraces)
         }
         unit.observe(rec);
     }
+}
+
+TEST(TraceCacheFill, BodiesMatchTheDecodedInstructions)
+{
+    // The fill unit keeps instructions, not uops, while a trace
+    // accumulates and decodes the body only when it inserts the trace:
+    // that body must be each instruction's flow, in order, tagged with
+    // its instruction index.
+    TraceCacheUnit unit(16384, 3, 32);
+    const auto &w = trace::findWorkload("gzip");
+    const auto prog = w.buildProgram(0);
+    const uop::Translator translator;
+    unsigned checked = 0;
+    for (const trace::TraceRecord &rec : trace::collectTrace(prog, 20000)) {
+        if (auto t = unit.lookup(rec.pc)) {
+            std::vector<uop::Uop> want;
+            for (size_t i = 0; i < t->pcs.size(); ++i) {
+                const auto &placed = prog.at(t->pcs[i]);
+                const size_t first = want.size();
+                translator.translate(placed.inst, placed.addr,
+                                     placed.addr + placed.length, want);
+                for (size_t k = first; k < want.size(); ++k)
+                    want[k].instIdx = uint16_t(i);
+            }
+            ASSERT_EQ(t->numUops(), want.size());
+            size_t k = 0;
+            for (const opt::FrameUop fu : t->body) {
+                EXPECT_EQ(fu.uop.op, want[k].op);
+                EXPECT_EQ(fu.uop.instIdx, want[k].instIdx);
+                EXPECT_EQ(fu.uop.imm, want[k].imm);
+                ++k;
+            }
+            ++checked;
+        }
+        unit.observe(rec);
+    }
+    EXPECT_GT(checked, 100u);
 }
 
 namespace {

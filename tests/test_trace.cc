@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
+#include "trace/chunk.hh"
 #include "trace/record.hh"
 #include "trace/tracer.hh"
 #include "trace/workload.hh"
@@ -86,6 +88,90 @@ TEST(ExecutorTraceSource, EndsAtBudget)
     EXPECT_EQ(src.peek(), nullptr);
 }
 
+namespace {
+
+/** True when two records encode to the same wire bytes. */
+bool
+sameRecord(const TraceRecord &a, const TraceRecord &b)
+{
+    uint8_t ea[wire::MAX_RECORD_BYTES], eb[wire::MAX_RECORD_BYTES];
+    const size_t na = wire::encodeRecord(a, ea);
+    const size_t nb = wire::encodeRecord(b, eb);
+    return na == nb && std::equal(ea, ea + na, eb);
+}
+
+} // namespace
+
+TEST(ExecutorTraceSource, BatchedFillMatchesCollectedTrace)
+{
+    // The ring is topped up in batches of up to 2 * LOOKAHEAD records.
+    // Budgets below the ring size, equal to it, and not a multiple of
+    // it must all give the collected stream, for a plain consumer
+    // (streamDigest) and for one that peeks deep and irregularly.
+    const x86::Program prog = findWorkload("excel").buildProgram(1);
+    const uint64_t ring = 2 * TraceSource::LOOKAHEAD;
+    for (const uint64_t budget :
+         {uint64_t(1), uint64_t(7), uint64_t(TraceSource::LOOKAHEAD - 1),
+          ring - 1, ring, ring + 1, 3 * ring + 333}) {
+        const std::vector<TraceRecord> want = collectTrace(prog, budget);
+        VectorTraceSource collected(want);
+        ExecutorTraceSource live(prog, budget);
+        EXPECT_EQ(wire::streamDigest(live), wire::streamDigest(collected))
+            << "budget " << budget;
+        EXPECT_EQ(live.consumed(), budget);
+
+        ExecutorTraceSource peeker(prog, budget);
+        for (uint64_t i = 0; i < budget; ++i) {
+            const unsigned ahead =
+                unsigned((i * 37) % TraceSource::LOOKAHEAD);
+            const TraceRecord *far = peeker.peek(ahead);
+            if (i + ahead < budget) {
+                ASSERT_NE(far, nullptr) << "budget " << budget;
+                EXPECT_TRUE(sameRecord(*far, want[i + ahead]))
+                    << "budget " << budget << " record " << i + ahead;
+            } else {
+                EXPECT_EQ(far, nullptr) << "budget " << budget;
+            }
+            ASSERT_TRUE(sameRecord(*peeker.peek(), want[i]))
+                << "budget " << budget << " record " << i;
+            peeker.advance();
+        }
+        EXPECT_TRUE(peeker.done());
+    }
+}
+
+TEST(ExecutorTraceSource, ReusedSlotsCarryNoStaleSideEffects)
+{
+    // Ring slots are rewritten in place.  A record with fewer side
+    // effects than the slot's previous occupant must read back with
+    // every unused slot at its default.
+    const x86::Program prog = findWorkload("sound").buildProgram(0);
+    ExecutorTraceSource src(prog, 5000);
+    const x86::RegWrite no_reg{};
+    const x86::MemOp no_mem{};
+    const x86::FRegWrite no_freg{};
+    while (const TraceRecord *rec = src.peek()) {
+        for (unsigned i = rec->numRegWrites;
+             i < TraceRecord::MAX_REG_WRITES; ++i) {
+            EXPECT_EQ(rec->regWrites[i].reg, no_reg.reg);
+            EXPECT_EQ(rec->regWrites[i].value, no_reg.value);
+        }
+        for (unsigned i = rec->numMemOps; i < TraceRecord::MAX_MEM_OPS;
+             ++i) {
+            EXPECT_EQ(rec->memOps[i].isStore, no_mem.isStore);
+            EXPECT_EQ(rec->memOps[i].addr, no_mem.addr);
+            EXPECT_EQ(rec->memOps[i].size, no_mem.size);
+            EXPECT_EQ(rec->memOps[i].data, no_mem.data);
+        }
+        if (rec->numFregWrites == 0) {
+            EXPECT_EQ(rec->fregWrite.reg, no_freg.reg);
+            EXPECT_EQ(rec->fregWrite.value, no_freg.value);
+        }
+        src.advance();
+    }
+    EXPECT_EQ(src.consumed(), 5000u);
+}
+
 TEST(Workloads, FourteenStandardApps)
 {
     const auto &all = standardWorkloads();
@@ -135,8 +221,9 @@ branchStats(const Workload &w, uint64_t insts)
     std::map<uint32_t, std::pair<uint64_t, uint64_t>> stats;
     const x86::Program prog = w.buildProgram(0);
     x86::Executor exec(prog);
+    x86::StepInfo info;
     for (uint64_t i = 0; i < insts; ++i) {
-        const auto info = exec.step();
+        exec.step(info);
         if (info.placed->inst.isCondBranch()) {
             auto &[taken, total] = stats[info.pc];
             total += 1;
@@ -181,8 +268,9 @@ TEST(Workloads, UopToX86RatioNearPaper)
         x86::Executor exec(prog);
         uint64_t x86n = 0, uopn = 0;
         std::vector<uop::Uop> flow;
+        x86::StepInfo info;
         for (unsigned i = 0; i < 20000; ++i) {
-            const auto info = exec.step();
+            exec.step(info);
             flow.clear();
             trans.translate(info.placed->inst, info.pc,
                             info.pc + info.placed->length, flow);

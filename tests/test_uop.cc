@@ -183,9 +183,10 @@ crossCheck(const x86::Program &prog, uint64_t steps)
     Translator trans;
     uint32_t upc = prog.entry();
 
+    x86::StepInfo info;
     for (uint64_t i = 0; i < steps; ++i) {
         const auto &placed = prog.at(upc);
-        const x86::StepInfo info = xexec.step();
+        xexec.step(info);
         ASSERT_EQ(info.pc, upc) << "diverged at step " << i;
 
         const auto flow =

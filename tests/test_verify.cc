@@ -119,10 +119,12 @@ verifyWorkloadFrames(const trace::Workload &w, uint64_t insts,
     uint64_t retired = 0;
 
     unsigned verified = 0;
+    x86::StepInfo step;
+    TraceRecord rec;
     for (uint64_t i = 0; i < insts; ++i) {
         ring[retired % ring.size()] = snapshotState(exec);
-        const auto info = exec.step();
-        const TraceRecord rec = TraceRecord::fromStep(info);
+        exec.step(step);
+        TraceRecord::fromStep(step, rec);
         ++retired;
 
         auto cand = ctor.observe(rec);
@@ -143,8 +145,9 @@ verifyWorkloadFrames(const trace::Workload &w, uint64_t insts,
             continue;
         const opt::ArchState live_in = ring[(end - n) % ring.size()];
 
+        ctor.materialize(*cand);
         const auto body =
-            optimizer.optimize(cand->uops, cand->blocks, &profile,
+            optimizer.optimize(cand->uops(), cand->blocks(), &profile,
                                stats);
         profile.observeInstance(cand->records);
         const core::Frame frame = buildFrame(*cand, body);
@@ -203,9 +206,12 @@ TEST(Verifier, CatchesCorruptedFrame)
 
     std::vector<opt::ArchState> ring(512);
     uint64_t retired = 0;
+    x86::StepInfo step;
+    TraceRecord rec;
     for (uint64_t i = 0; i < 50000; ++i) {
         ring[retired % ring.size()] = snapshotState(exec);
-        const auto rec = TraceRecord::fromStep(exec.step());
+        exec.step(step);
+        TraceRecord::fromStep(step, rec);
         ++retired;
         auto cand = ctor.observe(rec);
         if (!cand)
@@ -215,7 +221,8 @@ TEST(Verifier, CatchesCorruptedFrame)
         if (end < n)
             continue;
         const opt::ArchState live_in = ring[(end - n) % ring.size()];
-        auto body = optimizer.optimize(cand->uops, cand->blocks,
+        ctor.materialize(*cand);
+        auto body = optimizer.optimize(cand->uops(), cand->blocks(),
                                        nullptr, stats);
         core::Frame frame = buildFrame(*cand, body);
 

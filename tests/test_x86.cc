@@ -307,7 +307,8 @@ TEST(Executor, StepInfoReportsSideEffects)
     b.pushI(0x77);
     Program prog = b.build();
     Executor exec(prog);
-    const StepInfo info = exec.step();
+    StepInfo info;
+    exec.step(info);
     ASSERT_EQ(info.memOps.size(), 1u);
     EXPECT_TRUE(info.memOps[0].isStore);
     EXPECT_EQ(info.memOps[0].data, 0x77u);

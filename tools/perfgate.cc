@@ -116,8 +116,10 @@ runOptimizerPass(const std::vector<trace::TraceRecord> &records,
     core::FrameConstructor ctor;
     std::vector<core::FrameCandidate> cands;
     for (const auto &rec : records) {
-        if (auto cand = ctor.observe(rec))
+        if (auto cand = ctor.observe(rec)) {
+            ctor.materialize(*cand);
             cands.push_back(std::move(*cand));
+        }
         if (cands.size() >= 256)
             break;
     }
@@ -125,7 +127,7 @@ runOptimizerPass(const std::vector<trace::TraceRecord> &records,
         return;
     uint64_t uops = 0;
     for (const auto &c : cands)
-        uops += c.uops.size();
+        uops += c.uopCount;
 
     opt::Optimizer optimizer;
     opt::OptStats stats;
@@ -138,7 +140,7 @@ runOptimizerPass(const std::vector<trace::TraceRecord> &records,
         const double t0 = now();
         for (int rep = 0; rep < REPS; ++rep) {
             for (const auto &c : cands)
-                optimizer.optimize(c.uops, c.blocks, nullptr, stats,
+                optimizer.optimize(c.uops(), c.blocks(), nullptr, stats,
                                    out);
         }
         const double dt = now() - t0;
