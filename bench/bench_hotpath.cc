@@ -34,6 +34,7 @@
 #include "trace/tracer.hh"
 #include "trace/tracev3.hh"
 #include "trace/workload.hh"
+#include "uop/translator.hh"
 #include "x86/executor.hh"
 
 using namespace replay;
@@ -65,9 +66,13 @@ candidates()
 {
     static const auto cands = [] {
         core::FrameConstructor ctor;
+        const uop::Translator translator;
         std::vector<core::FrameCandidate> out;
         for (const auto &rec : recordedTrace()) {
-            if (auto cand = ctor.observe(rec)) {
+            const unsigned n_uops = unsigned(
+                translator.translate(rec.inst, rec.pc, rec.pc + rec.length)
+                    .size());
+            if (auto cand = ctor.observe(rec, n_uops)) {
                 ctor.materialize(*cand);
                 out.push_back(std::move(*cand));
             }
@@ -136,14 +141,23 @@ static void
 BM_EngineObserveRetired(benchmark::State &state)
 {
     const auto &records = recordedTrace();
+    const uop::Translator translator;
+    std::vector<uop::Uop> flow;
     uint64_t frames = 0;
     for (auto _ : state) {
         state.PauseTiming();
         core::RePlayEngine engine;
         state.ResumeTiming();
         uint64_t now = 0;
-        for (const auto &rec : records)
-            engine.observeRetired(rec, ++now);
+        // Decoded in the loop, as the retiring path does.
+        for (const auto &rec : records) {
+            flow.clear();
+            engine.observeRetired(
+                rec,
+                translator.translate(rec.inst, rec.pc,
+                                     rec.pc + rec.length, flow),
+                ++now);
+        }
         frames += engine.stats().counter("candidates").value();
     }
     state.counters["frames/s"] =

@@ -14,6 +14,7 @@
 #include "opt/optimizer.hh"
 #include "trace/tracer.hh"
 #include "trace/workload.hh"
+#include "uop/translator.hh"
 
 using namespace replay;
 
@@ -27,9 +28,14 @@ harvestCandidates(const char *workload, unsigned count)
     const auto prog = w.buildProgram(0);
     trace::ExecutorTraceSource src(prog, 400000);
     core::FrameConstructor ctor;
+    const uop::Translator translator;
     std::vector<core::FrameCandidate> out;
     while (!src.done() && out.size() < count) {
-        if (auto cand = ctor.observe(*src.peek())) {
+        const trace::TraceRecord &rec = *src.peek();
+        const unsigned n_uops = unsigned(
+            translator.translate(rec.inst, rec.pc, rec.pc + rec.length)
+                .size());
+        if (auto cand = ctor.observe(rec, n_uops)) {
             ctor.materialize(*cand);
             out.push_back(std::move(*cand));
         }

@@ -1,14 +1,19 @@
 /**
  * @file
- * Trace ingest bandwidth of the chunked container on its buffered and
- * mmap read paths, raw and zlib codecs.
+ * Trace container bandwidth: the write (record) path per codec, and
+ * ingest on the buffered and mmap read paths, raw and zlib codecs.
  *
- * The raw mmap row is the number perfgate gates as
- * `trace_ingest_mbps`; EXPERIMENTS.md carries a measured table.  Every
- * row must deliver the full stream (a short read is fatal).
+ * MB/s is canonical record bytes (wire::recordWireBytes() per record)
+ * per second, the definition perfgate's `trace_ingest_mbps` gates on
+ * the raw mmap row; the stored and coded columns give the bytes per
+ * record the container actually holds and the chunk coder produces.
+ * EXPERIMENTS.md carries a measured table.  Every row must deliver the
+ * full stream (a short read is fatal).
  *
  * REPLAY_SIM_INSTS overrides the per-container record count.
  */
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -16,7 +21,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,35 +46,62 @@ struct Row
 {
     std::string name;
     double recordsPerSec = 0;
-    double mbPerSec = 0;        ///< decoded record bytes per second
-    uint64_t fileBytes = 0;
+    double mbPerSec = 0;        ///< canonical record bytes per second
+    std::string path;           ///< the container written or read
 };
 
-/** Best-of-three full drains of whatever @p open returns. */
+/** Best of three timed passes of @p pass (pass 0 warms up). */
 Row
-measure(const std::string &name, uint64_t records, uint64_t file_bytes,
-        const std::function<std::unique_ptr<trace::TraceSource>()> &open)
+bestOf(const std::string &name, uint64_t records, const std::string &path,
+       const std::function<void()> &pass)
 {
     Row row;
     row.name = name;
-    row.fileBytes = file_bytes;
-    for (int pass = 0; pass < 4; ++pass) {    // pass 0 warms the cache
-        auto src = open();
-        fatal_if(!src, "%s: cannot open container", name.c_str());
+    row.path = path;
+    for (int rep = 0; rep < 4; ++rep) {
         const double t0 = now();
-        while (!src->done())
-            src->advance();
+        pass();
         const double dt = now() - t0;
-        fatal_if(src->consumed() != records,
-                 "%s: delivered %llu of %llu records", name.c_str(),
-                 (unsigned long long)src->consumed(),
-                 (unsigned long long)records);
-        if (pass > 0 && dt > 0)
+        if (rep > 0 && dt > 0)
             row.recordsPerSec =
                 std::max(row.recordsPerSec, double(records) / dt);
     }
     row.mbPerSec = row.recordsPerSec * trace::wire::recordWireBytes() / 1e6;
     return row;
+}
+
+/** Write @p recs to @p path with @p codec. */
+Row
+measureWrite(const std::string &name, const std::string &path,
+             trace::V3Codec codec,
+             const std::vector<trace::TraceRecord> &recs)
+{
+    return bestOf(name, recs.size(), path, [&] {
+        trace::V3Options opts;
+        opts.codec = codec;
+        trace::TraceV3Writer writer(path, opts);
+        for (const trace::TraceRecord &rec : recs)
+            writer.write(rec);
+        const trace::TraceError err = writer.close();
+        fatal_if(!err.ok(), "%s: %s", name.c_str(), err.describe().c_str());
+    });
+}
+
+/** Drain the container at @p path in full. */
+Row
+measureRead(const std::string &name, uint64_t records,
+            const std::string &path, trace::V3SourceOptions opts)
+{
+    return bestOf(name, records, path, [&] {
+        trace::TraceV3Source src(path, opts);
+        while (!src.done())
+            src.advance();
+        fatal_if(src.consumed() != records,
+                 "%s: delivered %llu of %llu records (%s)", name.c_str(),
+                 (unsigned long long)src.consumed(),
+                 (unsigned long long)records,
+                 src.error().describe().c_str());
+    });
 }
 
 } // namespace
@@ -84,56 +115,51 @@ main()
 
     const auto &w = trace::findWorkload("crafty");
     const auto prog = w.buildProgram(0);
-    const std::string dir =
-        std::filesystem::temp_directory_path().string() + "/";
-    const std::string raw_path = dir + "bench_ingest_raw.rpl3";
-    const std::string zlib_path = dir + "bench_ingest_zlib.rpl3";
+    // Named per process, so concurrent runs (an A/B of two builds)
+    // never read each other's containers.
+    const std::string stem =
+        std::filesystem::temp_directory_path().string() +
+        "/bench_ingest." + std::to_string(::getpid());
+    const std::string raw_path = stem + ".raw.rpl3";
+    const std::string zlib_path = stem + ".zlib.rpl3";
 
-    std::printf("trace ingest bandwidth: %llu records of %s "
-                "(%zu wire bytes each)\n\n",
+    std::printf("trace container bandwidth: %llu records of %s "
+                "(%zu canonical bytes each)\n\n",
                 (unsigned long long)records, w.name.c_str(),
                 trace::wire::recordWireBytes());
 
-    trace::V3Options raw_opts;
-    raw_opts.codec = trace::V3Codec::RAW;
-    trace::TraceV3Writer::dumpProgram(prog, records, raw_path, raw_opts);
-    if (trace::v3ZlibAvailable()) {
-        trace::V3Options z;
-        z.codec = trace::V3Codec::ZLIB;
-        trace::TraceV3Writer::dumpProgram(prog, records, zlib_path, z);
-    }
-
-    const auto file_bytes = [](const std::string &p) {
-        return uint64_t(std::filesystem::file_size(p));
-    };
+    std::vector<trace::TraceRecord> recs;
+    recs.reserve(records);
+    trace::ExecutorTraceSource live(prog, records);
+    for (; !live.done(); live.advance())
+        recs.push_back(*live.peek());
 
     std::vector<Row> rows;
+    rows.push_back(
+        measureWrite("v3 raw write", raw_path, trace::V3Codec::RAW, recs));
+    if (trace::v3ZlibAvailable())
+        rows.push_back(measureWrite("v3 zlib write", zlib_path,
+                                    trace::V3Codec::ZLIB, recs));
     trace::V3SourceOptions buffered;
     buffered.preferMmap = false;
-    rows.push_back(measure(
-        "v3 raw buffered", records, file_bytes(raw_path), [&] {
-            return std::unique_ptr<trace::TraceSource>(
-                new trace::TraceV3Source(raw_path, buffered));
-        }));
-    rows.push_back(measure(
-        "v3 raw mmap", records, file_bytes(raw_path), [&] {
-            return std::unique_ptr<trace::TraceSource>(
-                new trace::TraceV3Source(raw_path));
-        }));
-    if (trace::v3ZlibAvailable()) {
-        rows.push_back(measure(
-            "v3 zlib mmap", records, file_bytes(zlib_path), [&] {
-                return std::unique_ptr<trace::TraceSource>(
-                    new trace::TraceV3Source(zlib_path));
-            }));
-    }
+    rows.push_back(
+        measureRead("v3 raw buffered", records, raw_path, buffered));
+    rows.push_back(measureRead("v3 raw mmap", records, raw_path, {}));
+    if (trace::v3ZlibAvailable())
+        rows.push_back(measureRead("v3 zlib mmap", records, zlib_path, {}));
 
-    std::printf("%-18s %14s %10s %14s\n", "path", "records/s", "MB/s",
-                "container B");
-    for (const Row &row : rows)
-        std::printf("%-18s %14.0f %10.1f %14llu\n", row.name.c_str(),
-                    row.recordsPerSec, row.mbPerSec,
-                    (unsigned long long)row.fileBytes);
+    std::printf("%-18s %12s %9s %12s %9s %9s\n", "path", "records/s",
+                "MB/s", "container B", "stored/r", "coded/r");
+    for (const Row &row : rows) {
+        const trace::V3Info info = trace::inspectV3(row.path);
+        fatal_if(!info.ok(), "%s: %s", row.name.c_str(),
+                 info.error.describe().c_str());
+        std::printf("%-18s %12.0f %9.1f %12llu %9.2f %9.2f\n",
+                    row.name.c_str(), row.recordsPerSec, row.mbPerSec,
+                    (unsigned long long)info.fileBytes,
+                    double(info.payloadBytes()) / double(records),
+                    double(info.rawBytes()) / double(records));
+    }
 
     for (const std::string &p : {raw_path, zlib_path}) {
         std::error_code ec;

@@ -16,6 +16,7 @@
 #include "core/constructor.hh"
 #include "sim/simulator.hh"
 #include "trace/workload.hh"
+#include "uop/translator.hh"
 #include "verify/verifier.hh"
 
 using namespace replay;
@@ -61,6 +62,7 @@ main()
     // ---- 2. Build frames from its retired stream and verify each -----
     x86::Executor exec(prog);
     core::FrameConstructor ctor;
+    const uop::Translator translator;
     core::AliasProfile profile;
     opt::Optimizer optimizer;
     opt::OptStats stats;
@@ -75,7 +77,11 @@ main()
         exec.step(step);
         trace::TraceRecord::fromStep(step, rec);
         ++retired;
-        auto cand = ctor.observe(rec);
+        auto cand = ctor.observe(
+            rec, unsigned(translator
+                              .translate(rec.inst, rec.pc,
+                                         rec.pc + rec.length)
+                              .size()));
         if (!cand)
             continue;
         const size_t n = cand->records.size();

@@ -43,6 +43,7 @@ FrameCandidate::clear()
     uopCount = 0;
     numBlocks = 1;
     pcs.clear();
+    instUops.clear();
     records.clear();
     uops_.clear();
     blocks_.clear();
@@ -108,6 +109,7 @@ FrameConstructor::append(const TraceRecord &rec, unsigned num_uops)
         acc_.startPc = rec.pc;
     acc_.uopCount += num_uops;
     acc_.pcs.push_back(rec.pc);
+    acc_.instUops.push_back(uint8_t(num_uops));
     acc_.records.push_back(rec);
 }
 
@@ -156,7 +158,7 @@ FrameConstructor::materialize(FrameCandidate &cand)
 }
 
 std::optional<FrameCandidate>
-FrameConstructor::observe(const TraceRecord &rec)
+FrameConstructor::observe(const TraceRecord &rec, unsigned num_uops)
 {
     const x86::Inst &in = rec.inst;
 
@@ -170,12 +172,6 @@ FrameConstructor::observe(const TraceRecord &rec)
     // ---- hard frame terminators ------------------------------------------
     if (in.mnem == Mnem::LONGFLOW)
         return finish(rec.pc, false);
-
-    // Only the flow's length is kept here; materialize() decodes the
-    // body again for the candidates the engine keeps.
-    flowScratch_.clear();
-    const unsigned num_uops = translator_.translate(
-        in, rec.pc, rec.pc + rec.length, flowScratch_);
 
     // ---- size limit ------------------------------------------------------
     std::optional<FrameCandidate> completed;

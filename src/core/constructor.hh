@@ -53,6 +53,7 @@ struct FrameCandidate
     bool closedByIncludedInst = false;
     unsigned uopCount = 0;      ///< micro-ops in the (materialized) body
     std::vector<uint32_t> pcs;
+    std::vector<uint8_t> instUops;  ///< micro-ops of each instruction
     unsigned numBlocks = 1;
 
     /** The observed instance (alias profiling, verification). */
@@ -80,11 +81,14 @@ class FrameConstructor
     explicit FrameConstructor(ConstructorConfig cfg = {});
 
     /**
-     * Observe one retired instruction.  Returns a completed candidate
-     * when this instruction closed one off (the instruction itself may
-     * have started a fresh accumulation).
+     * Observe one retired instruction whose decode flow has
+     * @p num_uops micro-ops (the caller has decoded it already).
+     * Returns a completed candidate when this instruction closed one
+     * off (the instruction itself may have started a fresh
+     * accumulation).
      */
-    std::optional<FrameCandidate> observe(const trace::TraceRecord &rec);
+    std::optional<FrameCandidate> observe(const trace::TraceRecord &rec,
+                                          unsigned num_uops);
 
     /**
      * Build @p cand's uop body and block ids from its records: each
@@ -130,7 +134,6 @@ class FrameConstructor
 
     FrameCandidate acc_;
     FrameCandidate spare_;              ///< recycled candidate storage
-    std::vector<uop::Uop> flowScratch_; ///< per-observe decode flow
     uint16_t curBlock_ = 0;
     uint64_t emitted_ = 0;
     uint64_t tooSmall_ = 0;

@@ -64,6 +64,11 @@ struct Frame
     std::vector<uint32_t> pcs;
     uint32_t nextPc = 0;
 
+    /** Micro-ops in the decode flow of instruction i (before any
+     *  optimization): what each retiring instruction feeds the frame
+     *  constructor and the trace-cache fill unit. */
+    std::vector<uint8_t> instUops;
+
     /**
      * The frame ends with an unconverted indirect jump, so control
      * past the frame is dynamic; nextPc is only the target observed at

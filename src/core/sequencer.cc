@@ -101,6 +101,7 @@ RePlayEngine::enqueueCandidate(FrameCandidate &cand, uint64_t now)
     frame->id = nextFrameId_++;
     frame->startPc = cand.startPc;
     frame->pcs = cand.pcs;  // copy: the candidate's buffer recycles
+    frame->instUops = cand.instUops;
     frame->nextPc = cand.nextPc;
     frame->dynamicExit = cand.dynamicExit;
     frame->numBlocks = cand.numBlocks;
@@ -140,10 +141,11 @@ RePlayEngine::drainReady(uint64_t now)
 }
 
 void
-RePlayEngine::observeRetired(const trace::TraceRecord &rec, uint64_t now)
+RePlayEngine::observeRetired(const trace::TraceRecord &rec,
+                             unsigned num_uops, uint64_t now)
 {
     drainReady(now);
-    auto candidate = constructor_.observe(rec);
+    auto candidate = constructor_.observe(rec, num_uops);
     if (candidate) {
         enqueueCandidate(*candidate, now);
         constructor_.recycle(std::move(*candidate));
@@ -233,6 +235,7 @@ RePlayEngine::publishReopt(ReoptResult &res)
     frame->id = nextFrameId_++;
     frame->startPc = cur->startPc;
     frame->pcs = cur->pcs;
+    frame->instUops = cur->instUops;
     frame->nextPc = cur->nextPc;
     frame->dynamicExit = cur->dynamicExit;
     frame->numBlocks = cur->numBlocks;

@@ -87,12 +87,14 @@ class RePlayEngine
     explicit RePlayEngine(EngineConfig cfg = {});
 
     /**
-     * Observe an instruction retiring from the conventional (ICache)
-     * path at cycle @p now.  May synthesize a frame candidate, push it
-     * through the optimization pipeline, and later deposit it in the
-     * frame cache.
+     * Observe an instruction retiring at cycle @p now; its decode flow
+     * has @p num_uops micro-ops (the retiring path decoded it already,
+     * or the committed frame recorded the count).  May synthesize a
+     * frame candidate, push it through the optimization pipeline, and
+     * later deposit it in the frame cache.
      */
-    void observeRetired(const trace::TraceRecord &rec, uint64_t now);
+    void observeRetired(const trace::TraceRecord &rec, unsigned num_uops,
+                        uint64_t now);
 
     /** Deposit any frames whose optimization completed by @p now. */
     void drainReady(uint64_t now);

@@ -97,7 +97,11 @@ FrameMachine::step()
     s.kind = MachineStep::Kind::CONVENTIONAL;
     s.record = *rec;
     applyConventional(*rec);
-    engine_.observeRetired(*rec, now_);
+    flow_.clear();
+    engine_.observeRetired(
+        *rec, translator_.translate(rec->inst, rec->pc,
+                                    rec->pc + rec->length, flow_),
+        now_);
     src_.advance();
     ++retired_;
     ++now_;

@@ -23,6 +23,7 @@
 #include "core/sequencer.hh"
 #include "opt/frameexec.hh"
 #include "trace/tracer.hh"
+#include "uop/translator.hh"
 
 namespace replay::sim {
 
@@ -86,6 +87,8 @@ class FrameMachine
 
     trace::ExecutorTraceSource src_;
     core::RePlayEngine engine_;
+    uop::Translator translator_;
+    std::vector<uop::Uop> flow_;    ///< decode scratch
     opt::ArchState state_;
     x86::SparseMemory mem_;
 

@@ -149,9 +149,9 @@ Simulator::simulateIcacheInst(const TraceRecord &rec,
     }
 
     if (engine_)
-        engine_->observeRetired(rec, fe_.now());
+        engine_->observeRetired(rec, unsigned(flow.size()), fe_.now());
     if (tcache_)
-        tcache_->observe(rec);
+        tcache_->observe(rec, unsigned(flow.size()));
     if (online_)
         online_->observe(rec);
 
@@ -270,7 +270,7 @@ Simulator::simulateFrame(const FramePtr &frame, trace::TraceSource &src)
         // across committed frames.
         for (unsigned i = 0; i < frame->numX86Insts(); ++i) {
             const TraceRecord *r = src.peek();
-            engine_->observeRetired(*r, fe_.now());
+            engine_->observeRetired(*r, frame->instUops[i], fe_.now());
             if (online_)
                 online_->observe(*r);
             // Keep the predictor trained across frame-covered code so
@@ -402,7 +402,7 @@ Simulator::simulateTracePrefix(const FramePtr &trace_frame,
     stats_.x86Retired += n;
     stats_.frameX86Retired += n;    // "retired from the trace cache"
     for (unsigned i = 0; i < n; ++i) {
-        tcache_->observe(*src.peek());
+        tcache_->observe(*src.peek(), trace_frame->instUops[i]);
         if (online_)
             online_->observe(*src.peek());
         src.advance();

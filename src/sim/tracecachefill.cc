@@ -39,6 +39,7 @@ TraceCacheUnit::finishTrace(uint32_t next_pc)
             trace_frame->id = nextId_++;
             trace_frame->startPc = startPc_;
             trace_frame->pcs = pcs_;
+            trace_frame->instUops = instUops_;
             trace_frame->nextPc = next_pc;
             trace_frame->dynamicExit = true;    // multiple exits anyway
             trace_frame->body = opt::Optimizer::passthrough(
@@ -49,12 +50,13 @@ TraceCacheUnit::finishTrace(uint32_t next_pc)
     pcs_.clear();
     insts_.clear();
     lengths_.clear();
+    instUops_.clear();
     numUops_ = 0;
     branches_ = 0;
 }
 
 void
-TraceCacheUnit::observe(const TraceRecord &rec)
+TraceCacheUnit::observe(const TraceRecord &rec, unsigned num_uops)
 {
     const x86::Inst &in = rec.inst;
     if (in.mnem == Mnem::LONGFLOW) {
@@ -62,9 +64,6 @@ TraceCacheUnit::observe(const TraceRecord &rec)
         return;
     }
 
-    uops_.clear();
-    const unsigned num_uops =
-        translator_.translate(in, rec.pc, rec.pc + rec.length, uops_);
     if (numUops_ + num_uops > maxUops_)
         finishTrace(rec.pc);
 
@@ -74,6 +73,7 @@ TraceCacheUnit::observe(const TraceRecord &rec)
     pcs_.push_back(rec.pc);
     insts_.push_back(in);
     lengths_.push_back(rec.length);
+    instUops_.push_back(uint8_t(num_uops));
 
     const bool is_branch_uop =
         in.isCondBranch() ||

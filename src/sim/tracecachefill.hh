@@ -24,8 +24,9 @@ class TraceCacheUnit
     TraceCacheUnit(unsigned capacity_uops, unsigned max_branches,
                    unsigned max_uops);
 
-    /** Observe one instruction retiring from the conventional path. */
-    void observe(const trace::TraceRecord &rec);
+    /** Observe one instruction retiring outside a frame; its decode
+     *  flow has @p num_uops micro-ops. */
+    void observe(const trace::TraceRecord &rec, unsigned num_uops);
 
     /** Trace starting at @p pc, if cached. */
     core::FramePtr lookup(uint32_t pc) { return cache_.lookup(pc); }
@@ -43,14 +44,15 @@ class TraceCacheUnit
     uop::Translator translator_;
     core::FrameCache cache_;
 
-    // Accumulation state: the instructions and their uop count.  Most
+    // Accumulation state: the instructions and their uop counts.  Most
     // traces repeat one already cached, so the body is decoded only
     // when a trace is inserted.
     std::vector<uint32_t> pcs_;
     std::vector<x86::Inst> insts_;
     std::vector<uint8_t> lengths_;
+    std::vector<uint8_t> instUops_;
     unsigned numUops_ = 0;
-    std::vector<uop::Uop> uops_;    ///< decode scratch
+    std::vector<uop::Uop> uops_;    ///< body decode scratch
     uint32_t startPc_ = 0;
     unsigned branches_ = 0;
     uint64_t nextId_ = 1;

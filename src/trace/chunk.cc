@@ -2,19 +2,11 @@
 
 namespace replay::trace::wire {
 
-size_t
-encodeRecord(const TraceRecord &rec, uint8_t *out)
-{
-    Encoder e{out};
-    e.u32(rec.pc);
-    e.u32(rec.nextPc);
-    e.u8(rec.length);
-    e.u8(rec.taken);
-    e.u8(rec.wroteFlags);
-    e.u8(rec.flagsAfter);
+namespace {
 
-    // Instruction encoding ("raw instruction data").
-    const x86::Inst &in = rec.inst;
+void
+encodeInst(Encoder &e, const x86::Inst &in)
+{
     e.u8(uint8_t(in.mnem));
     e.u8(uint8_t(in.form));
     e.u8(uint8_t(in.cc));
@@ -29,6 +21,58 @@ encodeRecord(const TraceRecord &rec, uint8_t *out)
     e.u64(uint64_t(in.imm));
     e.u32(in.target);
     e.u8(in.opSize);
+}
+
+void
+decodeInst(Decoder &d, x86::Inst &in)
+{
+    in.mnem = static_cast<x86::Mnem>(d.u8());
+    in.form = static_cast<x86::Form>(d.u8());
+    in.cc = static_cast<x86::Cond>(d.u8());
+    in.reg1 = static_cast<x86::Reg>(d.u8());
+    in.reg2 = static_cast<x86::Reg>(d.u8());
+    in.freg1 = static_cast<x86::FReg>(d.u8());
+    in.freg2 = static_cast<x86::FReg>(d.u8());
+    in.mem.base = static_cast<x86::Reg>(d.u8());
+    in.mem.index = static_cast<x86::Reg>(d.u8());
+    in.mem.scale = d.u8();
+    in.mem.disp = int32_t(d.u32());
+    in.imm = int64_t(d.u64());
+    in.target = d.u32();
+    in.opSize = d.u8();
+}
+
+uint32_t
+floatBits(float v)
+{
+    uint32_t raw = 0;
+    std::memcpy(&raw, &v, 4);
+    return raw;
+}
+
+float
+bitsFloat(uint32_t raw)
+{
+    float v = 0;
+    std::memcpy(&v, &raw, 4);
+    return v;
+}
+
+} // anonymous namespace
+
+size_t
+encodeRecord(const TraceRecord &rec, uint8_t *out)
+{
+    Encoder e{out};
+    e.u32(rec.pc);
+    e.u32(rec.nextPc);
+    e.u8(rec.length);
+    e.u8(rec.taken);
+    e.u8(rec.wroteFlags);
+    e.u8(rec.flagsAfter);
+
+    // Instruction encoding ("raw instruction data").
+    encodeInst(e, rec.inst);
 
     // Side effects.
     e.u8(rec.numRegWrites);
@@ -45,9 +89,7 @@ encodeRecord(const TraceRecord &rec, uint8_t *out)
     }
     e.u8(rec.numFregWrites);
     e.u8(uint8_t(rec.fregWrite.reg));
-    uint32_t raw = 0;
-    std::memcpy(&raw, &rec.fregWrite.value, 4);
-    e.u32(raw);
+    e.u32(floatBits(rec.fregWrite.value));
     return e.len;
 }
 
@@ -63,21 +105,7 @@ decodeRecord(const uint8_t *buf)
     rec.wroteFlags = d.u8();
     rec.flagsAfter = d.u8();
 
-    x86::Inst &in = rec.inst;
-    in.mnem = static_cast<x86::Mnem>(d.u8());
-    in.form = static_cast<x86::Form>(d.u8());
-    in.cc = static_cast<x86::Cond>(d.u8());
-    in.reg1 = static_cast<x86::Reg>(d.u8());
-    in.reg2 = static_cast<x86::Reg>(d.u8());
-    in.freg1 = static_cast<x86::FReg>(d.u8());
-    in.freg2 = static_cast<x86::FReg>(d.u8());
-    in.mem.base = static_cast<x86::Reg>(d.u8());
-    in.mem.index = static_cast<x86::Reg>(d.u8());
-    in.mem.scale = d.u8();
-    in.mem.disp = int32_t(d.u32());
-    in.imm = int64_t(d.u64());
-    in.target = d.u32();
-    in.opSize = d.u8();
+    decodeInst(d, rec.inst);
 
     rec.numRegWrites = d.u8();
     for (unsigned i = 0; i < TraceRecord::MAX_REG_WRITES; ++i) {
@@ -93,8 +121,7 @@ decodeRecord(const uint8_t *buf)
     }
     rec.numFregWrites = d.u8();
     rec.fregWrite.reg = static_cast<x86::FReg>(d.u8());
-    const uint32_t raw = d.u32();
-    std::memcpy(&rec.fregWrite.value, &raw, 4);
+    rec.fregWrite.value = bitsFloat(d.u32());
     return rec;
 }
 
@@ -124,6 +151,246 @@ streamDigest(TraceSource &src, uint64_t max_records)
         ++n;
     }
     return h;
+}
+
+// --------------------------------------------------------------------
+// Chunk coder
+// --------------------------------------------------------------------
+
+namespace {
+
+/**
+ * True when every slot past the record's counts holds its default, so
+ * the used slots alone rebuild the record.
+ */
+bool
+unusedSlotsAtDefaults(const TraceRecord &rec)
+{
+    if (rec.numRegWrites > TraceRecord::MAX_REG_WRITES ||
+        rec.numMemOps > TraceRecord::MAX_MEM_OPS || rec.numFregWrites > 1)
+        return false;
+    const x86::RegWrite rw{};
+    for (unsigned i = rec.numRegWrites; i < TraceRecord::MAX_REG_WRITES;
+         ++i) {
+        if (rec.regWrites[i].reg != rw.reg ||
+            rec.regWrites[i].value != rw.value)
+            return false;
+    }
+    const x86::MemOp mo{};
+    for (unsigned i = rec.numMemOps; i < TraceRecord::MAX_MEM_OPS; ++i) {
+        const x86::MemOp &m = rec.memOps[i];
+        if (m.isStore != mo.isStore || m.addr != mo.addr ||
+            m.size != mo.size || m.data != mo.data)
+            return false;
+    }
+    const x86::FRegWrite fw{};
+    return rec.numFregWrites ||
+           (rec.fregWrite.reg == fw.reg &&
+            floatBits(rec.fregWrite.value) == floatBits(fw.value));
+}
+
+} // anonymous namespace
+
+void
+ChunkEncoder::reset()
+{
+    nextPc_ = 0;
+    flags_ = 0;
+    if (++stamp_ == 0) {
+        // Stamp wrapped: entries from 2^32 chunks ago would look valid.
+        table_.fill(Entry{});
+        stamp_ = 1;
+    }
+}
+
+size_t
+ChunkEncoder::encode(const TraceRecord &rec, uint8_t *out)
+{
+    using namespace chunkcode;
+    Encoder e{out};
+    if (!unusedSlotsAtDefaults(rec)) {
+        e.u8(F_ESCAPE);
+        e.len += encodeRecord(rec, out + e.len);
+        nextPc_ = rec.nextPc;
+        flags_ = rec.flagsAfter;
+        return e.len;
+    }
+
+    Entry &slot = table_[slotOf(rec.pc)];
+    const bool hit = slot.stamp == stamp_ && slot.pc == rec.pc &&
+                     slot.length == rec.length && slot.inst == rec.inst;
+    uint8_t flags = 0;
+    if (rec.pc != nextPc_)
+        flags |= F_PC;
+    if (!hit)
+        flags |= F_INST;
+    if (rec.nextPc != rec.pc + rec.length)
+        flags |= F_NEXT;
+    if (rec.flagsAfter != flags_)
+        flags |= F_FLAGS;
+    if (rec.taken)
+        flags |= F_TAKEN;
+    if (rec.wroteFlags)
+        flags |= F_WROTE_FLAGS;
+    e.u8(flags);
+    e.u8(uint8_t(rec.numRegWrites | rec.numMemOps << 2 |
+                 rec.numFregWrites << 4));
+    if (flags & F_PC)
+        e.u32(rec.pc);
+    if (!hit) {
+        e.u8(rec.length);
+        encodeInst(e, rec.inst);
+        slot = Entry{rec.pc, stamp_, rec.length, rec.inst};
+    }
+    if (flags & F_NEXT)
+        e.u32(rec.nextPc);
+    if (flags & F_FLAGS)
+        e.u8(rec.flagsAfter);
+    for (unsigned i = 0; i < rec.numRegWrites; ++i) {
+        e.u8(uint8_t(rec.regWrites[i].reg));
+        e.u32(rec.regWrites[i].value);
+    }
+    for (unsigned i = 0; i < rec.numMemOps; ++i) {
+        e.u8(rec.memOps[i].isStore);
+        e.u32(rec.memOps[i].addr);
+        e.u8(rec.memOps[i].size);
+        e.u32(rec.memOps[i].data);
+    }
+    if (rec.numFregWrites) {
+        e.u8(uint8_t(rec.fregWrite.reg));
+        e.u32(floatBits(rec.fregWrite.value));
+    }
+    nextPc_ = rec.nextPc;
+    flags_ = rec.flagsAfter;
+    return e.len;
+}
+
+size_t
+ChunkDecoder::decodeOne(const uint8_t *p, TraceRecord *out, size_t i)
+{
+    using namespace chunkcode;
+    // Every optional field is loaded unconditionally and then selected,
+    // so the per-record flag mix costs conditional moves, not branch
+    // mispredictions: no load reaches past p + 80, well inside the
+    // MAX_CODED_RECORD_BYTES the caller guarantees.
+    TraceRecord &rec = out[i];
+    const uint8_t flags = p[0];
+    if (flags & ~(F_PC | F_INST | F_NEXT | F_FLAGS | F_TAKEN |
+                  F_WROTE_FLAGS)) {
+        if (flags != F_ESCAPE)
+            return 0;
+        rec = decodeRecord(p + 1);
+        nextPc_ = rec.nextPc;
+        flags_ = rec.flagsAfter;
+        return 1 + recordWireBytes();
+    }
+    const uint8_t counts = p[1];
+    const unsigned n_regs = counts & 3;
+    const unsigned n_mems = (counts >> 2) & 3;
+    const unsigned n_fregs = counts >> 4;
+    if ((n_regs > TraceRecord::MAX_REG_WRITES) |
+        (n_mems > TraceRecord::MAX_MEM_OPS) | (n_fregs > 1))
+        return 0;
+    size_t pos = 2;
+
+    const bool has_pc = flags & F_PC;
+    const uint32_t pc = has_pc ? load32(p + pos) : nextPc_;
+    pos += has_pc ? 4 : 0;
+    rec.pc = pc;
+    // The table holds only where the pc was last decoded; a hit copies
+    // the instruction from that earlier output record.
+    Entry &slot = table_[slotOf(pc)];
+    if (flags & F_INST) {
+        slot = Entry{pc, stamp_, uint32_t(i)};
+        rec.length = p[pos];
+        Decoder d{p + pos + 1};
+        decodeInst(d, rec.inst);
+        pos += 1 + d.pos;
+    } else if (slot.stamp == stamp_ && slot.pc == pc) {
+        rec.length = out[slot.index].length;
+        rec.inst = out[slot.index].inst;
+    } else {
+        return 0;   // a hit on an instruction this chunk never coded
+    }
+
+    const bool has_next = flags & F_NEXT;
+    const uint32_t next = load32(p + pos);
+    rec.nextPc = has_next ? next : pc + rec.length;
+    pos += has_next ? 4 : 0;
+    const bool has_flags = flags & F_FLAGS;
+    rec.flagsAfter = has_flags ? p[pos] : flags_;
+    pos += has_flags;
+    rec.taken = flags & F_TAKEN;
+    rec.wroteFlags = flags & F_WROTE_FLAGS;
+
+    rec.numRegWrites = uint8_t(n_regs);
+    for (unsigned k = 0; k < TraceRecord::MAX_REG_WRITES; ++k) {
+        const bool used = k < n_regs;
+        const uint8_t reg = p[pos];
+        const uint32_t value = load32(p + pos + 1);
+        rec.regWrites[k].reg =
+            used ? static_cast<x86::Reg>(reg) : x86::Reg::NONE;
+        rec.regWrites[k].value = used ? value : 0;
+        pos += used ? 5 : 0;
+    }
+    rec.numMemOps = uint8_t(n_mems);
+    const x86::MemOp mo{};
+    for (unsigned k = 0; k < TraceRecord::MAX_MEM_OPS; ++k) {
+        const bool used = k < n_mems;
+        const uint8_t is_store = p[pos];
+        const uint32_t addr = load32(p + pos + 1);
+        const uint8_t size = p[pos + 5];
+        const uint32_t data = load32(p + pos + 6);
+        x86::MemOp &m = rec.memOps[k];
+        m.isStore = used ? is_store != 0 : mo.isStore;
+        m.addr = used ? addr : mo.addr;
+        m.size = used ? size : mo.size;
+        m.data = used ? data : mo.data;
+        pos += used ? 10 : 0;
+    }
+    rec.numFregWrites = uint8_t(n_fregs);
+    const uint8_t freg = p[pos];
+    const uint32_t fbits = load32(p + pos + 1);
+    rec.fregWrite.reg =
+        n_fregs ? static_cast<x86::FReg>(freg) : x86::FReg::NONE;
+    rec.fregWrite.value = bitsFloat(n_fregs ? fbits : 0);
+    pos += n_fregs ? 5 : 0;
+
+    nextPc_ = rec.nextPc;
+    flags_ = rec.flagsAfter;
+    return pos;
+}
+
+bool
+ChunkDecoder::decodeChunk(const uint8_t *buf, size_t len, TraceRecord *out,
+                          size_t count)
+{
+    nextPc_ = 0;
+    flags_ = 0;
+    if (++stamp_ == 0) {
+        table_.fill(Entry{});
+        stamp_ = 1;
+    }
+    size_t pos = 0;
+    for (size_t i = 0; i < count; ++i) {
+        const size_t avail = len - pos;
+        size_t n;
+        if (avail >= MAX_CODED_RECORD_BYTES) {
+            n = decodeOne(buf + pos, out, i);
+        } else {
+            // Near the end: decode from a zero-padded copy, so a
+            // record cut short reads padding, not past the buffer.
+            uint8_t tail[MAX_CODED_RECORD_BYTES] = {};
+            std::memcpy(tail, buf + pos, avail);
+            n = decodeOne(tail, out, i);
+            if (n > avail)
+                return false;
+        }
+        if (n == 0)
+            return false;
+        pos += n;
+    }
+    return pos == len;
 }
 
 } // namespace replay::trace::wire

@@ -166,7 +166,8 @@ parseContainer(const std::string &path, uint64_t file_bytes,
     if (version != v3::VERSION)
         return fail(Kind::BAD_VERSION,
                     "trace file '" + path + "' has version " +
-                        std::to_string(version) + ", expected 3",
+                        std::to_string(version) + ", expected " +
+                        std::to_string(v3::VERSION),
                     v3::HDR_OFF_VERSION);
     if (hdr_sum != wire::fnv1a32(hdr, v3::HDR_OFF_CHECKSUM))
         return fail(Kind::BAD_CHECKSUM,
@@ -337,7 +338,6 @@ TraceV3Writer::TraceV3Writer(const std::string &path, V3Options opts)
         return;
     }
     fileOffset_ = v3::HEADER_BYTES;
-    raw_.reserve(size_t(opts_.chunkRecords) * wire::recordWireBytes());
 }
 
 TraceV3Writer::~TraceV3Writer()
@@ -351,9 +351,10 @@ TraceV3Writer::write(const TraceRecord &rec)
 {
     if (!file_)
         return;
-    const size_t rec_bytes = wire::recordWireBytes();
-    raw_.resize(raw_.size() + rec_bytes);
-    wire::encodeRecord(rec, raw_.data() + raw_.size() - rec_bytes);
+    if (raw_.size() < rawLen_ + wire::MAX_CODED_RECORD_BYTES)
+        raw_.resize(std::max(2 * raw_.size(),
+                             rawLen_ + wire::MAX_CODED_RECORD_BYTES));
+    rawLen_ += encoder_.encode(rec, raw_.data() + rawLen_);
     ++pendingRecords_;
     ++count_;
     if (pendingRecords_ >= opts_.chunkRecords)
@@ -367,13 +368,13 @@ TraceV3Writer::flushChunk()
         return file_ != nullptr;
 
     const uint8_t *payload = raw_.data();
-    uint32_t payload_bytes = uint32_t(raw_.size());
+    uint32_t payload_bytes = uint32_t(rawLen_);
 #if defined(REPLAY_HAVE_ZLIB)
     if (opts_.codec == V3Codec::ZLIB) {
-        uLongf dst_len = compressBound(uLong(raw_.size()));
+        uLongf dst_len = compressBound(uLong(rawLen_));
         zbuf_.resize(dst_len);
-        if (compress2(zbuf_.data(), &dst_len, raw_.data(),
-                      uLong(raw_.size()), Z_DEFAULT_COMPRESSION) != Z_OK) {
+        if (compress2(zbuf_.data(), &dst_len, raw_.data(), uLong(rawLen_),
+                      Z_DEFAULT_COMPRESSION) != Z_OK) {
             fail(TraceError::Kind::WRITE_FAILED,
                  "zlib compression failed for chunk " +
                      std::to_string(index_.size()));
@@ -395,7 +396,7 @@ TraceV3Writer::flushChunk()
     wire::Encoder e{hdr};
     e.u32(v3::CHUNK_MAGIC);
     e.u32(payload_bytes);
-    e.u32(uint32_t(raw_.size()));
+    e.u32(uint32_t(rawLen_));
     e.u32(entry.records);
     e.u64(entry.firstRecord);
     e.u32(entry.checksum);
@@ -408,8 +409,9 @@ TraceV3Writer::flushChunk()
     }
     fileOffset_ += v3::CHUNK_HEADER_BYTES + payload_bytes;
     index_.push_back(entry);
-    raw_.clear();
+    rawLen_ = 0;
     pendingRecords_ = 0;
+    encoder_.reset();
     return true;
 }
 
@@ -624,7 +626,6 @@ TraceV3Source::openAndValidate(const std::string &path)
         return false;
     }
     total_ = m.recordCount;
-    recordBytes_ = m.recordBytes;
     codec_ = m.codec;
     index_.reserve(m.chunks.size());
     for (const V3Info::Chunk &c : m.chunks)
@@ -731,12 +732,26 @@ TraceV3Source::loadNextChunk()
     // firstRecord; a stale one the wrong record count or checksum.
     if (payload_bytes != entry.payloadBytes ||
         records != entry.records ||
-        first_record != entry.firstRecord || sum != entry.checksum ||
-        uint64_t(raw_bytes) != uint64_t(records) * recordBytes_) {
+        first_record != entry.firstRecord || sum != entry.checksum) {
         fail(TraceError::Kind::BAD_CHUNK,
              "trace file '" + path_ + "' chunk " + std::to_string(ci) +
                  " disagrees with the index (duplicated or stale "
                  "chunk?)",
+             entry.offset, int64_t(ci));
+        return false;
+    }
+    // rawBytes is the one header field the index does not seal: a RAW
+    // chunk stores exactly its coded bytes, and no chunk may claim more
+    // than its records can code to (bounds the inflate buffer).
+    if ((codec_ == V3Codec::RAW && raw_bytes != payload_bytes) ||
+        uint64_t(raw_bytes) >
+            uint64_t(records) * wire::MAX_CODED_RECORD_BYTES) {
+        fail(TraceError::Kind::BAD_CHUNK,
+             "trace file '" + path_ + "' chunk " + std::to_string(ci) +
+                 " declares " + std::to_string(raw_bytes) +
+                 " coded bytes for " + std::to_string(payload_bytes) +
+                 " stored bytes of " + std::to_string(records) +
+                 " records",
              entry.offset, int64_t(ci));
         return false;
     }
@@ -786,8 +801,15 @@ TraceV3Source::loadNextChunk()
         pool_.pop_back();
     }
     dc.recs.resize(records);
-    for (uint32_t i = 0; i < records; ++i)
-        dc.recs[i] = wire::decodeRecord(raw + size_t(i) * recordBytes_);
+    if (!decoder_.decodeChunk(raw, raw_bytes, dc.recs.data(), records)) {
+        pool_.push_back(std::move(dc.recs));
+        fail(TraceError::Kind::BAD_CHUNK,
+             "trace file '" + path_ + "' chunk " + std::to_string(ci) +
+                 " payload is not " + std::to_string(records) +
+                 " records in " + std::to_string(raw_bytes) + " bytes",
+             entry.offset + v3::CHUNK_HEADER_BYTES, int64_t(ci));
+        return false;
+    }
     window_.push_back(std::move(dc));
     nextChunk_ = ci + 1;
     return true;
@@ -855,6 +877,15 @@ V3Info::payloadBytes() const
     return sum;
 }
 
+uint64_t
+V3Info::rawBytes() const
+{
+    uint64_t sum = 0;
+    for (const Chunk &c : chunks)
+        sum += c.rawBytes;
+    return sum;
+}
+
 V3Info
 inspectV3(const std::string &path)
 {
@@ -879,6 +910,18 @@ inspectV3(const std::string &path)
                std::fread(dst, 1, len, file) == len;
     };
     Meta m = parseContainer(path, file_bytes, readAt);
+    // The coded size is in each chunk header, not in the index.
+    for (V3Info::Chunk &c : m.chunks) {
+        uint8_t raw[4];
+        if (!readAt(c.offset + v3::CHK_OFF_RAW_BYTES, sizeof(raw), raw)) {
+            m.error = TraceError::at(TraceError::Kind::READ_ERROR,
+                                     "cannot read a chunk header of '" +
+                                         path + "'",
+                                     path, c.offset);
+            break;
+        }
+        c.rawBytes = wire::load32(raw);
+    }
     std::fclose(file);
 
     info.error = m.error;

@@ -5,7 +5,8 @@
  * The paper's workloads are hardware-captured trace *files* (§5.1.1);
  * this module is the equivalent persistent form for our records, so a
  * trace can be captured once and replayed through the simulator any
- * number of times.  The container (format version 3) is built around
+ * number of times.  The container (format version 4; the class and
+ * file names keep the "v3" of the chunked layout) is built around
  * *chunks*:
  *
  *   HEADER   magic/version/record-size guard, record count, codec,
@@ -16,10 +17,13 @@
  *             records, checksum}, FNV-guarded
  *   FOOTER   index offset, chunk count, index checksum, magic
  *
- * Each chunk's payload is the canonical wire encoding of its records
- * (see trace/chunk.hh), either stored raw or zlib-compressed; its
- * checksum is a word-at-a-time FNV over the *stored* bytes, so
- * integrity is verified before any decompression touches the data.
+ * Each chunk's payload is its records in the compact chunk coding
+ * (wire::ChunkEncoder, trace/chunk.hh; "raw bytes" is its length), either
+ * stored raw or zlib-compressed.  The coder restarts at every chunk, so
+ * each chunk decodes on its own.  The header's record size is that of
+ * the canonical encoding, the stream's identity.  A chunk's checksum is
+ * a word-at-a-time FNV over the *stored* bytes, so integrity is
+ * verified before any decompression touches the data.
  * The index footer is cross-checked against the header and every chunk
  * header, so a stale, spliced or cut-off container is rejected before
  * its payload is trusted.
@@ -44,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/chunk.hh"
 #include "trace/record.hh"
 
 namespace replay::trace {
@@ -105,7 +110,7 @@ const char *traceErrorKindName(TraceError::Kind kind);
 namespace v3 {
 
 constexpr uint32_t MAGIC = 0x52504c54;        // "RPLT"
-constexpr uint32_t VERSION = 3;
+constexpr uint32_t VERSION = 4;
 constexpr uint32_t CHUNK_MAGIC = 0x334b4843;  // "CHK3"
 constexpr uint32_t FOOTER_MAGIC = 0x33465052; // "RPF3"
 
@@ -214,7 +219,9 @@ class TraceV3Writer
     V3Options opts_;
     uint64_t count_ = 0;            ///< records written so far
     uint64_t fileOffset_ = 0;       ///< running write position
-    std::vector<uint8_t> raw_;      ///< pending encoded records
+    wire::ChunkEncoder encoder_;    ///< codes the pending chunk
+    std::vector<uint8_t> raw_;      ///< pending coded records
+    size_t rawLen_ = 0;             ///< bytes of raw_ in use
     uint32_t pendingRecords_ = 0;
     std::vector<uint8_t> zbuf_;     ///< compression scratch
     std::vector<PendingEntry> index_;
@@ -316,7 +323,6 @@ class TraceV3Source : public TraceSource
     uint64_t total_ = 0;        ///< records the container holds
     uint64_t effTotal_ = 0;     ///< min(total, limit)
     uint64_t consumed_ = 0;     ///< cursor (record index)
-    uint32_t recordBytes_ = 0;
     V3Codec codec_ = V3Codec::RAW;
     std::vector<IndexEntry> index_;
     size_t nextChunk_ = 0;      ///< next index entry to load
@@ -326,6 +332,7 @@ class TraceV3Source : public TraceSource
 
     std::vector<uint8_t> ioBuf_;    ///< buffered-mode chunk staging
     std::vector<uint8_t> rawBuf_;   ///< decompression scratch
+    wire::ChunkDecoder decoder_;    ///< decodes one chunk at a time
 
     TraceError error_;
     std::function<bool()> ioInject_;
@@ -351,13 +358,17 @@ struct V3Info
         uint32_t payloadBytes;
         uint32_t records;
         uint32_t checksum;
+        uint32_t rawBytes = 0;  ///< coded (uncompressed) payload bytes
     };
     std::vector<Chunk> chunks;
 
     bool ok() const { return error.ok(); }
 
-    /** Compressed payload bytes across all chunks. */
+    /** Stored (possibly compressed) payload bytes across all chunks. */
     uint64_t payloadBytes() const;
+
+    /** Coded payload bytes before compression, across all chunks. */
+    uint64_t rawBytes() const;
 };
 
 /** Read header/footer/index without touching chunk payloads. */

@@ -59,61 +59,6 @@ memAbs(int32_t addr)
     return m;
 }
 
-bool
-Inst::isLoad() const
-{
-    switch (mnem) {
-      case Mnem::MOV:
-      case Mnem::MOVZX:
-      case Mnem::MOVSX:
-      case Mnem::ADD:
-      case Mnem::SUB:
-      case Mnem::AND:
-      case Mnem::OR:
-      case Mnem::XOR:
-      case Mnem::CMP:
-      case Mnem::TEST:
-      case Mnem::IMUL:
-        return form == Form::RM;
-      case Mnem::DIV:
-        return form == Form::M;
-      case Mnem::POP:
-      case Mnem::RET:
-        return true;
-      case Mnem::PUSH:
-      case Mnem::JMP:
-      case Mnem::CALL:
-        return form == Form::M;
-      case Mnem::FLD:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Inst::isStore() const
-{
-    switch (mnem) {
-      case Mnem::MOV:
-        return form == Form::MR || form == Form::MI;
-      case Mnem::PUSH:
-      case Mnem::CALL:          // pushes the return address
-        return true;
-      case Mnem::FST:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Inst::isControl() const
-{
-    return mnem == Mnem::JMP || mnem == Mnem::JCC || mnem == Mnem::CALL ||
-           mnem == Mnem::RET;
-}
-
 namespace {
 
 /** Bytes contributed by a ModRM + SIB + displacement for a MemRef. */

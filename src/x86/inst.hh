@@ -191,7 +191,12 @@ struct Inst
     /** True for instructions that write memory. */
     bool isStore() const;
     /** True for any control transfer. */
-    bool isControl() const;
+    bool
+    isControl() const
+    {
+        return mnem == Mnem::JMP || mnem == Mnem::JCC ||
+               mnem == Mnem::CALL || mnem == Mnem::RET;
+    }
     /** True for conditional control transfer. */
     bool isCondBranch() const { return mnem == Mnem::JCC; }
 
@@ -201,6 +206,57 @@ struct Inst
      */
     unsigned modeledLength() const;
 };
+
+// The predicates run per retired instruction (constructor, predictor,
+// simulator), so they are defined here for inlining.
+
+inline bool
+Inst::isLoad() const
+{
+    switch (mnem) {
+      case Mnem::MOV:
+      case Mnem::MOVZX:
+      case Mnem::MOVSX:
+      case Mnem::ADD:
+      case Mnem::SUB:
+      case Mnem::AND:
+      case Mnem::OR:
+      case Mnem::XOR:
+      case Mnem::CMP:
+      case Mnem::TEST:
+      case Mnem::IMUL:
+        return form == Form::RM;
+      case Mnem::DIV:
+        return form == Form::M;
+      case Mnem::POP:
+      case Mnem::RET:
+        return true;
+      case Mnem::PUSH:
+      case Mnem::JMP:
+      case Mnem::CALL:
+        return form == Form::M;
+      case Mnem::FLD:
+        return true;
+      default:
+        return false;
+    }
+}
+
+inline bool
+Inst::isStore() const
+{
+    switch (mnem) {
+      case Mnem::MOV:
+        return form == Form::MR || form == Form::MI;
+      case Mnem::PUSH:
+      case Mnem::CALL:          // pushes the return address
+        return true;
+      case Mnem::FST:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** Printable register / mnemonic names. */
 const char *regName(Reg reg);

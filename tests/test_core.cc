@@ -16,6 +16,7 @@
 #include "core/sequencer.hh"
 #include "trace/tracer.hh"
 #include "trace/workload.hh"
+#include "uop/translator.hh"
 #include "util/rng.hh"
 #include "x86/asmbuilder.hh"
 
@@ -26,6 +27,20 @@ using x86::AsmBuilder;
 using x86::Cond;
 using x86::memAt;
 using x86::Reg;
+
+namespace {
+
+/** Micro-ops in @p rec's decode flow: the count the retiring path
+ *  hands to observe() after decoding the instruction itself. */
+unsigned
+flowUops(const trace::TraceRecord &rec)
+{
+    return unsigned(uop::Translator()
+                        .translate(rec.inst, rec.pc, rec.pc + rec.length)
+                        .size());
+}
+
+} // namespace
 
 TEST(BiasTable, PromotesAfterEnoughSamples)
 {
@@ -283,7 +298,7 @@ TEST(FrameConstructor, BuildsFramesFromBiasedLoop)
 
     std::vector<FrameCandidate> candidates;
     while (!src.done()) {
-        auto cand = ctor.observe(*src.peek());
+        auto cand = ctor.observe(*src.peek(), flowUops(*src.peek()));
         if (cand) {
             ctor.materialize(*cand);
             candidates.push_back(std::move(*cand));
@@ -331,7 +346,7 @@ TEST(FrameConstructor, MaxSizeRespected)
     trace::ExecutorTraceSource src(prog, 3000);
     unsigned emitted = 0;
     while (!src.done()) {
-        if (auto cand = ctor.observe(*src.peek())) {
+        if (auto cand = ctor.observe(*src.peek(), flowUops(*src.peek()))) {
             ctor.materialize(*cand);
             EXPECT_LE(cand->uops().size(), cfg.maxUops);
             EXPECT_GE(cand->uops().size(), cfg.maxUops - 8);
@@ -364,7 +379,7 @@ TEST(FrameConstructor, StableReturnBecomesValueAssert)
     trace::ExecutorTraceSource src(prog, 2000);
     bool saw_value_assert = false;
     while (!src.done()) {
-        if (auto cand = ctor.observe(*src.peek())) {
+        if (auto cand = ctor.observe(*src.peek(), flowUops(*src.peek()))) {
             ctor.materialize(*cand);
             for (const auto &u : cand->uops()) {
                 if (u.op == uop::Op::ASSERT && u.valueAssert)
@@ -487,7 +502,7 @@ TEST(RePlayEngine, BuildsAndServesFrames)
             }
             engine.frameAborted(frame, outcome);
         }
-        engine.observeRetired(*rec, now);
+        engine.observeRetired(*rec, flowUops(*rec), now);
         src.advance();
         now += 2;
     }
@@ -531,7 +546,7 @@ TEST(FrameConstructor, LongflowEndsFrame)
     trace::ExecutorTraceSource src(prog, 400);
     unsigned emitted = 0;
     while (!src.done()) {
-        if (auto cand = ctor.observe(*src.peek())) {
+        if (auto cand = ctor.observe(*src.peek(), flowUops(*src.peek()))) {
             ++emitted;
             ctor.materialize(*cand);
             // No frame may contain the long-flow instruction.
@@ -550,7 +565,7 @@ TEST(FrameConstructor, CandidateRecordsMatchPcs)
     const auto prog = w.buildProgram(1);
     trace::ExecutorTraceSource src(prog, 20000);
     while (!src.done()) {
-        if (auto cand = ctor.observe(*src.peek())) {
+        if (auto cand = ctor.observe(*src.peek(), flowUops(*src.peek()))) {
             ASSERT_EQ(cand->records.size(), cand->pcs.size());
             for (size_t i = 0; i < cand->pcs.size(); ++i)
                 EXPECT_EQ(cand->records[i].pc, cand->pcs[i]);
@@ -576,7 +591,7 @@ harvestMaterialized(const x86::Program &prog, uint64_t insts,
     FrameConstructor ctor(cfg);
     std::vector<FrameCandidate> out;
     for (const TraceRecord &rec : trace::collectTrace(prog, insts)) {
-        if (auto cand = ctor.observe(rec)) {
+        if (auto cand = ctor.observe(rec, flowUops(rec))) {
             ctor.materialize(*cand);
             out.push_back(std::move(*cand));
         }
@@ -741,7 +756,7 @@ TEST(FrameMaterialize, BodyReadBeforeMaterializePanics)
     std::optional<FrameCandidate> cand;
     for (const TraceRecord &rec :
          trace::collectTrace(callLoopProgram(), 600)) {
-        if ((cand = ctor.observe(rec)))
+        if ((cand = ctor.observe(rec, flowUops(rec))))
             break;
     }
     ASSERT_TRUE(cand.has_value());
@@ -875,7 +890,7 @@ TEST(RePlayEngine, DuplicateCandidatesSuppressed)
 
     uint64_t now = 0;
     while (!src.done()) {
-        engine.observeRetired(*src.peek(), now);
+        engine.observeRetired(*src.peek(), flowUops(*src.peek()), now);
         src.advance();
         now += 2;
     }
@@ -908,7 +923,7 @@ TEST(RePlayEngine, SaturatedOptimizerDropsCandidates)
     trace::ExecutorTraceSource src(prog, 5000);
     uint64_t now = 0;
     while (!src.done()) {
-        engine.observeRetired(*src.peek(), now);
+        engine.observeRetired(*src.peek(), flowUops(*src.peek()), now);
         src.advance();
         now += 2;
     }
@@ -927,7 +942,7 @@ TEST(RePlayEngine, FrameVisibleOnlyAfterOptimizationLatency)
         FrameConstructor ctor;
         trace::ExecutorTraceSource src(prog, 4000);
         while (!src.done() && start_pc == 0) {
-            if (auto cand = ctor.observe(*src.peek()))
+            if (auto cand = ctor.observe(*src.peek(), flowUops(*src.peek())))
                 start_pc = cand->startPc;
             src.advance();
         }
@@ -941,7 +956,7 @@ TEST(RePlayEngine, FrameVisibleOnlyAfterOptimizationLatency)
     RePlayEngine engine;
     trace::ExecutorTraceSource src(prog, 4000);
     while (!src.done()) {
-        engine.observeRetired(*src.peek(), 0);
+        engine.observeRetired(*src.peek(), flowUops(*src.peek()), 0);
         src.advance();
     }
     EXPECT_EQ(engine.frameFor(start_pc, 0), nullptr);
@@ -1029,7 +1044,7 @@ TEST(RePlayEngine, QuarantineBlocksCandidateConstruction)
         FrameConstructor ctor;
         trace::ExecutorTraceSource src(prog, 8000);
         while (!src.done()) {
-            if (auto cand = ctor.observe(*src.peek()))
+            if (auto cand = ctor.observe(*src.peek(), flowUops(*src.peek())))
                 start_pcs.push_back(cand->startPc);
             src.advance();
         }
@@ -1045,7 +1060,7 @@ TEST(RePlayEngine, QuarantineBlocksCandidateConstruction)
     trace::ExecutorTraceSource src(prog, 8000);
     uint64_t now = 0;
     while (!src.done()) {
-        engine.observeRetired(*src.peek(), now);
+        engine.observeRetired(*src.peek(), flowUops(*src.peek()), now);
         src.advance();
         now += 2;
     }
@@ -1064,7 +1079,7 @@ TEST(RePlayEngine, MaterializesOnlyKeptCandidates)
     auto src = trace::findWorkload("crafty").openTrace(0, 60000);
     uint64_t now = 0;
     while (!src->done()) {
-        engine.observeRetired(*src->peek(), now);
+        engine.observeRetired(*src->peek(), flowUops(*src->peek()), now);
         src->advance();
         now += 2;
     }
@@ -1211,7 +1226,7 @@ TEST(RePlayEngine, SustainedChurnUnderTinyCacheStaysConsistent)
     uint64_t served = 0;
     while (!src.done()) {
         const TraceRecord rec = *src.peek();
-        engine.observeRetired(rec, ++now);
+        engine.observeRetired(rec, flowUops(rec), ++now);
         if ((now & 255) == 0 && engine.frameFor(rec.pc, now))
             ++served;
         ASSERT_LE(engine.cache().occupiedUops(),

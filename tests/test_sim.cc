@@ -15,6 +15,7 @@
 #include "sim/runner.hh"
 #include "sim/tracecachefill.hh"
 #include "trace/tracer.hh"
+#include "uop/translator.hh"
 #include "util/logging.hh"
 #include "testdir.hh"
 
@@ -22,6 +23,20 @@ using namespace replay;
 using namespace replay::sim;
 using timing::CycleBin;
 using testutil::testPath;
+
+namespace {
+
+/** Micro-ops in @p rec's decode flow: the count the retiring path
+ *  hands to observe() after decoding the instruction itself. */
+unsigned
+flowUops(const trace::TraceRecord &rec)
+{
+    return unsigned(uop::Translator()
+                        .translate(rec.inst, rec.pc, rec.pc + rec.length)
+                        .size());
+}
+
+} // namespace
 
 namespace {
 
@@ -197,7 +212,7 @@ TEST(TraceCacheFill, BuildsBoundedTraces)
     for (unsigned i = 0; i < 30000; ++i) {
         exec.step(step);
         trace::TraceRecord::fromStep(step, rec);
-        unit.observe(rec);
+        unit.observe(rec, flowUops(rec));
     }
     EXPECT_GT(unit.cache().numFrames(), 5u);
     // Every built trace respects the caps.
@@ -212,7 +227,7 @@ TEST(TraceCacheFill, BuildsBoundedTraces)
                             fu.uop.op == uop::Op::JMPI;
             EXPECT_LE(branches, 3u);
         }
-        unit.observe(rec);
+        unit.observe(rec, flowUops(rec));
     }
 }
 
@@ -248,7 +263,7 @@ TEST(TraceCacheFill, BodiesMatchTheDecodedInstructions)
             }
             ++checked;
         }
-        unit.observe(rec);
+        unit.observe(rec, flowUops(rec));
     }
     EXPECT_GT(checked, 100u);
 }

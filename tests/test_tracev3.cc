@@ -299,6 +299,10 @@ TEST_F(TraceV3Corruption, ResealedHeaderFieldsHitTheirTypedChecks)
         // Wrong record size with a *valid* checksum: version skew.
         {"recordBytes", v3::HDR_OFF_RECORD_BYTES, 76, 4,
          Kind::BAD_RECORD_SIZE, v3::HDR_OFF_RECORD_BYTES},
+        // A container of the previous format (fixed-size canonical
+        // payload): its version alone refuses it.
+        {"version3", v3::HDR_OFF_VERSION, 3, 4, Kind::BAD_VERSION,
+         v3::HDR_OFF_VERSION},
         // Unknown codec id.
         {"codec", v3::HDR_OFF_CODEC, 7, 4, Kind::BAD_CODEC,
          v3::HDR_OFF_CODEC},
@@ -428,27 +432,60 @@ TEST_F(TraceV3Corruption, IndexAndFooterFlipsAreTypedAndPaired)
 
 TEST_F(TraceV3Corruption, DuplicatedChunkIsCaughtByTheIndexCrossCheck)
 {
-    // Splice chunk 0's bytes over chunk 1 (same size: both are full
-    // 1024-record raw chunks).  Chunk 1's header then carries
-    // firstRecord 0, disagreeing with the FNV-sealed index entry.
-    const V3Info::Chunk &c0 = info_->chunks[0];
-    const V3Info::Chunk &c1 = info_->chunks[1];
+    // One 1024-record block written twice: the coder restarts at each
+    // chunk, so both payloads are byte-identical and splicing chunk 0
+    // over chunk 1 changes nothing but chunk 1's header firstRecord,
+    // which then disagrees with the FNV-sealed index entry.
+    const std::string path = testPath("duplicated.rpl3");
+    const x86::Program prog = findWorkload("gzip").buildProgram(0);
+    ExecutorTraceSource live(prog, 1024);
+    std::vector<TraceRecord> block;
+    for (; !live.done(); live.advance())
+        block.push_back(*live.peek());
+    V3Options opts;
+    opts.chunkRecords = 1024;
+    opts.codec = V3Codec::RAW;
+    {
+        TraceV3Writer writer(path, opts);
+        for (int copy = 0; copy < 2; ++copy)
+            for (const TraceRecord &rec : block)
+                writer.write(rec);
+        ASSERT_TRUE(writer.close().ok());
+    }
+    const std::vector<uint8_t> pristine = slurp(path);
+    const V3Info info = inspectV3(path);
+    ASSERT_TRUE(info.ok()) << info.error.describe();
+    ASSERT_EQ(info.chunks.size(), 2u);
+    const V3Info::Chunk &c0 = info.chunks[0];
+    const V3Info::Chunk &c1 = info.chunks[1];
     ASSERT_EQ(c0.payloadBytes, c1.payloadBytes);
     const size_t span = v3::CHUNK_HEADER_BYTES + c0.payloadBytes;
+    // The two chunk spans differ in firstRecord alone.
+    const auto same = [&](size_t from, size_t to) {
+        return std::equal(pristine.begin() + c0.offset + from,
+                          pristine.begin() + c0.offset + to,
+                          pristine.begin() + c1.offset + from);
+    };
+    ASSERT_TRUE(same(0, v3::CHK_OFF_FIRST_RECORD));
+    ASSERT_TRUE(same(v3::CHK_OFF_CHECKSUM, span));
 
-    std::vector<uint8_t> bytes = *pristine_;
+    std::vector<uint8_t> bytes = pristine;
     std::memcpy(bytes.data() + c1.offset, bytes.data() + c0.offset, span);
-    spit(*path_, bytes);
-    {
-        SCOPED_TRACE("duplicated chunk");
-        expectReject(Kind::BAD_CHUNK, 1024, c1.offset, 1);
-    }
-    const ReadResult r = readV3(*path_);
+    spit(path, bytes);
+    const ReadResult r = readV3(path);
+    EXPECT_EQ(r.err.kind, Kind::BAD_CHUNK) << r.err.describe();
+    EXPECT_EQ(r.records, 1024u);
+    EXPECT_EQ(r.err.byteOffset, c1.offset);
+    EXPECT_EQ(r.err.chunkIndex, 1);
     EXPECT_NE(r.err.message.find("duplicated"), std::string::npos)
         << r.err.describe();
+    for (size_t i = 0; i < r.pcs.size(); ++i)
+        ASSERT_EQ(r.pcs[i], block[i].pc) << "record " << i;
 
-    spit(*path_, *pristine_);
-    expectPristine();
+    spit(path, pristine);
+    const ReadResult clean = readV3(path);
+    EXPECT_TRUE(clean.err.ok()) << clean.err.describe();
+    EXPECT_EQ(clean.records, 2048u);
 }
 
 TEST_F(TraceV3Corruption, TruncationIsTypedAtEveryCutPoint)
@@ -768,6 +805,386 @@ TEST(TraceV3RoundTrip, DeepPeekAcrossChunksDeliversIdenticalStream)
         EXPECT_TRUE(src.done());
         EXPECT_EQ(n, total);
         EXPECT_TRUE(src.ok()) << src.error().describe();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Chunk coder: lossless round trip over random records (escape path,
+// table-slot collisions, any chunk size), and malformed payloads under
+// valid checksums
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** The canonical encoding: equal bytes mean equal records, unused
+ *  slots included. */
+std::vector<uint8_t>
+canonical(const TraceRecord &rec)
+{
+    uint8_t buf[wire::MAX_RECORD_BYTES];
+    return std::vector<uint8_t>(buf, buf + wire::encodeRecord(rec, buf));
+}
+
+/** A static instruction of the random program. */
+struct StaticInst
+{
+    uint32_t pc;
+    uint8_t length;
+    x86::Inst inst;
+};
+
+x86::Inst
+randomInst(Rng &rng)
+{
+    x86::Inst in;
+    in.mnem = static_cast<x86::Mnem>(
+        rng.below(uint64_t(x86::Mnem::NUM_MNEMS)));
+    in.form = static_cast<x86::Form>(rng.below(14));
+    in.cc = static_cast<x86::Cond>(rng.below(256));
+    in.reg1 = static_cast<x86::Reg>(rng.below(256));
+    in.reg2 = static_cast<x86::Reg>(rng.below(256));
+    in.freg1 = static_cast<x86::FReg>(rng.below(256));
+    in.freg2 = static_cast<x86::FReg>(rng.below(256));
+    in.mem.base = static_cast<x86::Reg>(rng.below(256));
+    in.mem.index = static_cast<x86::Reg>(rng.below(256));
+    in.mem.scale = uint8_t(rng.below(256));
+    in.mem.disp = int32_t(rng.next());
+    in.imm = int64_t(rng.next());
+    in.target = uint32_t(rng.next());
+    in.opSize = uint8_t(rng.below(256));
+    return in;
+}
+
+/**
+ * A random record stream over a small static program: mostly
+ * fall-through pcs and repeated instructions (table hits), plus two
+ * pcs that share one table slot, one pc seen with two different
+ * instructions, random side effects, and about one record in twenty
+ * with a non-default unused slot or a count beyond its slots (the
+ * escape path).
+ */
+std::vector<TraceRecord>
+randomStream(uint64_t seed, size_t n, unsigned *escapes)
+{
+    Rng rng(seed);
+    std::vector<StaticInst> prog;
+    uint32_t pc = 0x1000;
+    for (int i = 0; i < 40; ++i) {
+        const uint8_t len = uint8_t(1 + rng.below(15));
+        prog.push_back({pc, len, randomInst(rng)});
+        pc += len;
+    }
+    // Two pcs in one table slot.
+    const uint32_t a = 0x400000;
+    uint32_t b = a + 1;
+    while (wire::chunkcode::slotOf(b) != wire::chunkcode::slotOf(a))
+        ++b;
+    prog.push_back({a, 3, randomInst(rng)});
+    prog.push_back({b, 5, randomInst(rng)});
+    // One pc, two instructions.
+    prog.push_back({prog[3].pc, prog[3].length, randomInst(rng)});
+
+    std::vector<TraceRecord> out;
+    *escapes = 0;
+    uint32_t next = 0;
+    uint8_t flags = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const StaticInst *si = nullptr;
+        if (rng.chance(0.7)) {
+            for (const StaticInst &cand : prog)
+                if (cand.pc == next && (!si || rng.chance(0.5)))
+                    si = &cand;
+        }
+        if (!si)
+            si = &prog[rng.below(prog.size())];
+        TraceRecord r;
+        r.pc = si->pc;
+        r.length = si->length;
+        r.inst = si->inst;
+        r.nextPc = rng.chance(0.7) ? r.pc + r.length
+                                   : prog[rng.below(prog.size())].pc;
+        r.taken = rng.chance(0.3);
+        r.wroteFlags = rng.chance(0.5);
+        if (rng.chance(0.3))
+            flags = uint8_t(rng.below(256));
+        r.flagsAfter = flags;
+        r.numRegWrites = uint8_t(rng.below(3));
+        for (unsigned k = 0; k < r.numRegWrites; ++k)
+            r.regWrites[k] = {static_cast<x86::Reg>(rng.below(8)),
+                              uint32_t(rng.next())};
+        r.numMemOps = uint8_t(rng.below(3));
+        for (unsigned k = 0; k < r.numMemOps; ++k) {
+            r.memOps[k].isStore = rng.chance(0.5);
+            r.memOps[k].addr = uint32_t(rng.next());
+            r.memOps[k].size = uint8_t(1u << rng.below(3));
+            r.memOps[k].data = uint32_t(rng.next());
+        }
+        r.numFregWrites = uint8_t(rng.below(2));
+        if (r.numFregWrites) {
+            r.fregWrite.reg = static_cast<x86::FReg>(rng.below(8));
+            r.fregWrite.value = float(rng.below(1000)) / 7.0f;
+        }
+        if (rng.chance(0.05)) {
+            ++*escapes;
+            switch (rng.below(4)) {
+              case 0:
+                r.numRegWrites = 1;
+                r.regWrites[1].value = 7;       // stale unused slot
+                break;
+              case 1:
+                r.numMemOps = 0;
+                r.memOps[1].size = 8;
+                break;
+              case 2:
+                r.numFregWrites = 0;
+                r.fregWrite.value = -0.0f;      // default compares equal
+                break;
+              default:
+                r.numMemOps = 5;                // count beyond the slots
+                break;
+            }
+        }
+        next = r.nextPc;
+        out.push_back(r);
+    }
+    return out;
+}
+
+/** Code @p recs as one chunk payload. */
+std::vector<uint8_t>
+codeChunk(const std::vector<TraceRecord> &recs)
+{
+    wire::ChunkEncoder coder;
+    std::vector<uint8_t> out(recs.size() * wire::MAX_CODED_RECORD_BYTES);
+    size_t len = 0;
+    for (const TraceRecord &r : recs)
+        len += coder.encode(r, out.data() + len);
+    out.resize(len);
+    return out;
+}
+
+struct RawChunk
+{
+    uint32_t records;
+    std::vector<uint8_t> payload;
+    uint32_t rawBytes;
+};
+
+/**
+ * Assemble a RAW container from hand-made chunk payloads, every
+ * checksum sealed, so only the payload's own coding can be at fault.
+ */
+void
+writeRawContainer(const std::string &path,
+                  const std::vector<RawChunk> &chunks)
+{
+    std::vector<uint8_t> file(v3::HEADER_BYTES);
+    std::vector<uint8_t> index;
+    uint64_t first = 0;
+    for (const RawChunk &c : chunks) {
+        const uint64_t offset = file.size();
+        const uint32_t sum =
+            wire::chunkChecksum(c.payload.data(), c.payload.size());
+        uint8_t hdr[v3::CHUNK_HEADER_BYTES];
+        wire::Encoder e{hdr};
+        e.u32(v3::CHUNK_MAGIC);
+        e.u32(uint32_t(c.payload.size()));
+        e.u32(c.rawBytes);
+        e.u32(c.records);
+        e.u64(first);
+        e.u32(sum);
+        file.insert(file.end(), hdr, hdr + sizeof(hdr));
+        file.insert(file.end(), c.payload.begin(), c.payload.end());
+
+        uint8_t ent[v3::INDEX_ENTRY_BYTES];
+        wire::Encoder ie{ent};
+        ie.u64(offset);
+        ie.u64(first);
+        ie.u32(uint32_t(c.payload.size()));
+        ie.u32(c.records);
+        ie.u32(sum);
+        index.insert(index.end(), ent, ent + sizeof(ent));
+        first += c.records;
+    }
+    const uint64_t index_offset = file.size();
+    file.insert(file.end(), index.begin(), index.end());
+    uint8_t ftr[v3::FOOTER_BYTES];
+    wire::Encoder fe{ftr};
+    fe.u64(index_offset);
+    fe.u32(uint32_t(chunks.size()));
+    fe.u32(wire::fnv1a32(index.data(), index.size()));
+    fe.u32(0);
+    fe.u32(v3::FOOTER_MAGIC);
+    file.insert(file.end(), ftr, ftr + sizeof(ftr));
+
+    wire::Encoder he{file.data()};
+    he.u32(v3::MAGIC);
+    he.u32(v3::VERSION);
+    he.u32(uint32_t(wire::recordWireBytes()));
+    he.u64(first);
+    he.u32(uint32_t(V3Codec::RAW));
+    he.u32(1024);
+    he.u64(index_offset);
+    he.u32(wire::fnv1a32(file.data(), v3::HDR_OFF_CHECKSUM));
+    spit(path, file);
+}
+
+} // namespace
+
+TEST(TraceV3ChunkCoder, EscapeAndHitCodingSizes)
+{
+    const x86::Program prog = findWorkload("gzip").buildProgram(0);
+    ExecutorTraceSource live(prog, 1);
+    TraceRecord rec = *live.peek();
+    rec.numRegWrites = rec.numMemOps = rec.numFregWrites = 0;
+    rec.regWrites[0] = rec.regWrites[1] = {};
+    rec.memOps[0] = rec.memOps[1] = {};
+    rec.fregWrite = {};
+    rec.nextPc = rec.pc + rec.length;
+
+    namespace C = wire::chunkcode;
+    wire::ChunkEncoder coder;
+    uint8_t buf[wire::MAX_CODED_RECORD_BYTES];
+    // First sight: pc, length and inst are coded (a table miss).
+    const size_t first = coder.encode(rec, buf);
+    EXPECT_EQ(buf[0] & (C::F_PC | C::F_INST), C::F_PC | C::F_INST);
+    EXPECT_GT(first, 2u + 4u);
+    // A jump back to rec.pc, then rec again: its pc is the jump's
+    // nextPc and its instruction is in the table, so with no side
+    // effects it is coded as flags + counts alone.
+    TraceRecord jump = rec;
+    jump.pc = rec.nextPc;
+    jump.nextPc = rec.pc;
+    coder.encode(jump, buf);
+    EXPECT_EQ(coder.encode(rec, buf), 2u);
+    EXPECT_EQ(buf[0] & ~(C::F_TAKEN | C::F_WROTE_FLAGS), 0);
+    // The table belongs to one chunk: after a reset rec misses again.
+    coder.reset();
+    EXPECT_EQ(coder.encode(rec, buf), first);
+
+    // A stale unused slot cannot be rebuilt from the used ones: the
+    // record escapes to its canonical form.
+    TraceRecord stale = rec;
+    stale.memOps[1].addr = 0x1234;
+    EXPECT_EQ(coder.encode(stale, buf), 1 + wire::recordWireBytes());
+    EXPECT_EQ(buf[0], C::F_ESCAPE);
+    EXPECT_EQ(std::vector<uint8_t>(buf + 1,
+                                   buf + 1 + wire::recordWireBytes()),
+              canonical(stale));
+}
+
+TEST(TraceV3ChunkCoder, RandomRecordsRoundTripAtEveryChunkSize)
+{
+    const size_t N = 3000;
+    unsigned escapes = 0;
+    const std::vector<TraceRecord> want = randomStream(20261019, N, &escapes);
+    ASSERT_GT(escapes, 50u);
+
+    std::vector<V3Codec> codecs = {V3Codec::RAW};
+    if (v3ZlibAvailable())
+        codecs.push_back(V3Codec::ZLIB);
+    const std::string path = testPath("random.rpl3");
+    for (const uint32_t chunk : {1u, 7u, 1024u}) {
+        for (const V3Codec codec : codecs) {
+            SCOPED_TRACE(std::to_string(chunk) + " records per chunk, " +
+                         v3CodecName(codec));
+            V3Options opts;
+            opts.chunkRecords = chunk;
+            opts.codec = codec;
+            {
+                TraceV3Writer writer(path, opts);
+                for (const TraceRecord &r : want)
+                    writer.write(r);
+                const TraceError err = writer.close();
+                ASSERT_TRUE(err.ok()) << err.describe();
+            }
+            TraceV3Source src(path);
+            ASSERT_TRUE(src.ok()) << src.error().describe();
+            for (size_t i = 0; i < N; ++i) {
+                ASSERT_FALSE(src.done()) << "ended at " << i;
+                ASSERT_EQ(canonical(*src.peek()), canonical(want[i]))
+                    << "record " << i;
+                src.advance();
+            }
+            EXPECT_TRUE(src.done());
+            EXPECT_TRUE(src.ok()) << src.error().describe();
+        }
+    }
+}
+
+TEST(TraceV3ChunkCoder, MalformedPayloadsAreBadChunkWithTheValidPrefix)
+{
+    const x86::Program prog = findWorkload("gzip").buildProgram(0);
+    ExecutorTraceSource live(prog, 40);
+    std::vector<TraceRecord> recs;
+    for (; !live.done(); live.advance())
+        recs.push_back(*live.peek());
+    const std::vector<TraceRecord> head(recs.begin(), recs.begin() + 16);
+    const std::vector<TraceRecord> tail(recs.begin() + 16, recs.end());
+    const std::vector<uint8_t> good = codeChunk(tail);
+    const RawChunk chunk0{16, codeChunk(head),
+                          uint32_t(codeChunk(head).size())};
+    const std::string path = testPath("malformed.rpl3");
+
+    // The assembler itself writes a container that reads in full.
+    writeRawContainer(path, {chunk0, {uint32_t(tail.size()), good,
+                                      uint32_t(good.size())}});
+    const ReadResult whole = readV3(path);
+    ASSERT_TRUE(whole.err.ok()) << whole.err.describe();
+    ASSERT_EQ(whole.records, recs.size());
+
+    namespace C = wire::chunkcode;
+    std::vector<uint8_t> cut = good;
+    cut.resize(cut.size() - 3);
+    std::vector<uint8_t> trailing = good;
+    trailing.push_back(0);
+    std::vector<uint8_t> regs3 = codeChunk({tail[0]});
+    regs3[1] = uint8_t((regs3[1] & ~3u) | 3u);
+    std::vector<uint8_t> mems3 = codeChunk({tail[0]});
+    mems3[1] = uint8_t(mems3[1] | 3u << 2);
+    const std::vector<uint8_t> orphan_hit = {C::F_PC, 0, 0x00, 0x10, 0, 0};
+    std::vector<uint8_t> reserved = codeChunk({tail[0]});
+    reserved[0] |= 0x40;
+    std::vector<uint8_t> escape_mixed = codeChunk({tail[0]});
+    escape_mixed[0] |= C::F_ESCAPE;
+
+    struct Row
+    {
+        const char *what;
+        RawChunk chunk;
+    };
+    const Row rows[] = {
+        {"record cut mid-field",
+         {uint32_t(tail.size()), cut, uint32_t(cut.size())}},
+        {"trailing bytes",
+         {uint32_t(tail.size()), trailing, uint32_t(trailing.size())}},
+        {"register count above 2", {1, regs3, uint32_t(regs3.size())}},
+        {"memory count above 2", {1, mems3, uint32_t(mems3.size())}},
+        {"table hit with no prior miss",
+         {1, orphan_hit, uint32_t(orphan_hit.size())}},
+        {"reserved flag bit", {1, reserved, uint32_t(reserved.size())}},
+        {"escape mixed with other flags",
+         {1, escape_mixed, uint32_t(escape_mixed.size())}},
+        {"raw payloadBytes != rawBytes",
+         {uint32_t(tail.size()), good, uint32_t(good.size() + 1)}},
+        {"raw payloadBytes != rawBytes (short)",
+         {uint32_t(tail.size()), good, uint32_t(good.size() - 1)}},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.what);
+        writeRawContainer(path, {chunk0, row.chunk});
+        for (const bool prefer_mmap : {true, false}) {
+            SCOPED_TRACE(prefer_mmap ? "mmap" : "buffered");
+            V3SourceOptions so;
+            so.preferMmap = prefer_mmap;
+            const ReadResult r = readV3(path, so);
+            EXPECT_EQ(r.err.kind, Kind::BAD_CHUNK) << r.err.describe();
+            EXPECT_EQ(r.err.chunkIndex, 1);
+            EXPECT_EQ(r.records, 16u);
+            ASSERT_LE(r.pcs.size(), head.size());
+            for (size_t i = 0; i < r.pcs.size(); ++i)
+                EXPECT_EQ(r.pcs[i], head[i].pc) << "record " << i;
+        }
     }
 }
 

@@ -15,6 +15,7 @@
 #include "core/constructor.hh"
 #include "core/sequencer.hh"
 #include "trace/workload.hh"
+#include "uop/translator.hh"
 #include "verify/memmap.hh"
 #include "verify/verifier.hh"
 #include "x86/executor.hh"
@@ -25,6 +26,20 @@ using core::Frame;
 using core::FrameCandidate;
 using trace::TraceRecord;
 using uop::UReg;
+
+namespace {
+
+/** Micro-ops in @p rec's decode flow: the count the retiring path
+ *  hands to observe() after decoding the instruction itself. */
+unsigned
+flowUops(const trace::TraceRecord &rec)
+{
+    return unsigned(uop::Translator()
+                        .translate(rec.inst, rec.pc, rec.pc + rec.length)
+                        .size());
+}
+
+} // namespace
 
 TEST(MemoryMaps, InitialHoldsPreFrameValues)
 {
@@ -127,7 +142,7 @@ verifyWorkloadFrames(const trace::Workload &w, uint64_t insts,
         TraceRecord::fromStep(step, rec);
         ++retired;
 
-        auto cand = ctor.observe(rec);
+        auto cand = ctor.observe(rec, flowUops(rec));
         if (!cand)
             continue;
         EXPECT_EQ(cand->records.size(), cand->pcs.size());
@@ -213,7 +228,7 @@ TEST(Verifier, CatchesCorruptedFrame)
         exec.step(step);
         TraceRecord::fromStep(step, rec);
         ++retired;
-        auto cand = ctor.observe(rec);
+        auto cand = ctor.observe(rec, flowUops(rec));
         if (!cand)
             continue;
         const size_t n = cand->records.size();

@@ -212,20 +212,20 @@ cmdInspect(const std::vector<std::string> &args)
             rc = 1;
             continue;
         }
-        const uint64_t raw =
-            info.recordCount * uint64_t(info.recordBytes);
+        const double n = info.recordCount ? double(info.recordCount) : 1;
         std::printf(
-            "%s: v3, %llu records (%u bytes each), codec %s, "
-            "%zu chunks of %u records, %llu -> %llu payload bytes "
-            "(%.2fx), %llu file bytes\n",
-            path.c_str(), (unsigned long long)info.recordCount,
-            info.recordBytes, v3CodecName(info.codec),
-            info.chunks.size(), info.chunkRecords,
-            (unsigned long long)raw,
+            "%s: format %u, %llu records (%u canonical bytes each), "
+            "codec %s, "
+            "%zu chunks of %u records, %llu coded -> %llu stored "
+            "payload bytes (%.1f -> %.1f bytes per record), "
+            "%llu file bytes\n",
+            path.c_str(), trace::v3::VERSION,
+            (unsigned long long)info.recordCount, info.recordBytes,
+            v3CodecName(info.codec), info.chunks.size(), info.chunkRecords,
+            (unsigned long long)info.rawBytes(),
             (unsigned long long)info.payloadBytes(),
-            info.payloadBytes()
-                ? double(raw) / double(info.payloadBytes())
-                : 0.0,
+            double(info.rawBytes()) / n,
+            double(info.payloadBytes()) / n,
             (unsigned long long)info.fileBytes);
     }
     return rc;
@@ -242,14 +242,15 @@ cmdIndex(const std::vector<std::string> &args)
                      info.error.describe().c_str());
         return 1;
     }
-    std::printf("%-6s %-12s %-12s %-10s %-10s %s\n", "chunk", "offset",
-                "first_rec", "records", "payload", "checksum");
+    std::printf("%-6s %-12s %-12s %-10s %-10s %-10s %s\n", "chunk",
+                "offset", "first_rec", "records", "coded", "stored",
+                "checksum");
     for (size_t i = 0; i < info.chunks.size(); ++i) {
         const auto &c = info.chunks[i];
-        std::printf("%-6zu %-12llu %-12llu %-10u %-10u %08x\n", i,
+        std::printf("%-6zu %-12llu %-12llu %-10u %-10u %-10u %08x\n", i,
                     (unsigned long long)c.offset,
                     (unsigned long long)c.firstRecord, c.records,
-                    c.payloadBytes, c.checksum);
+                    c.rawBytes, c.payloadBytes, c.checksum);
     }
     std::printf("index at byte %llu, %zu entries\n",
                 (unsigned long long)info.indexOffset,
