@@ -1,5 +1,7 @@
 #include "trace/chunk.hh"
 
+#include <algorithm>
+
 namespace replay::trace::wire {
 
 namespace {
@@ -135,22 +137,119 @@ recordWireBytes()
     return size;
 }
 
+namespace {
+
+/** Fold one word into the digest: a multiply by an odd constant and a
+ *  xor-shift that carries the high half back down, each a bijection of
+ *  the state. */
+inline uint64_t
+digestWord(uint64_t h, uint64_t w)
+{
+    h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    return h ^ (h >> 32);
+}
+
+} // anonymous namespace
+
 uint64_t
 streamDigest(TraceSource &src, uint64_t max_records)
 {
-    uint8_t buf[MAX_RECORD_BYTES];
+    // The zero bytes past the canonical encoding pad its last word.
+    uint8_t buf[MAX_RECORD_BYTES + 8] = {};
     uint64_t h = 14695981039346656037ULL;
     uint64_t n = 0;
     while (!src.done() && (max_records == 0 || n < max_records)) {
         const size_t len = encodeRecord(*src.peek(), buf);
-        for (size_t i = 0; i < len; ++i) {
-            h ^= buf[i];
-            h *= 1099511628211ULL;
-        }
+        for (size_t i = 0; i < len; i += 8)
+            h = digestWord(h, load64(buf + i));
         src.advance();
         ++n;
     }
-    return h;
+    // Final avalanche (MurmurHash3's fmix64) after the record count.
+    h = digestWord(h, n);
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    return h ^ (h >> 33);
+}
+
+// --------------------------------------------------------------------
+// Instruction dictionary
+// --------------------------------------------------------------------
+
+void
+InstDictionary::rehash(size_t capacity)
+{
+    slots_.assign(capacity, 0);
+    mask_ = capacity - 1;
+    shift_ = 32 - unsigned(std::countr_zero(capacity));
+    for (size_t i = 0; i < entries_.size(); ++i) {
+        size_t s = slotOf(entries_[i].pc);
+        while (slots_[s])
+            s = (s + 1) & mask_;
+        slots_[s] = uint32_t(i + 1);
+    }
+}
+
+const DictEntry &
+InstDictionary::insert(const DictEntry &entry)
+{
+    if (const DictEntry *known = find(entry.pc))
+        return *known;
+    entries_.push_back(entry);
+    // Keep the table at most half full, so probes stay short.
+    if (2 * entries_.size() > slots_.size()) {
+        rehash(std::max<size_t>(64, 2 * slots_.size()));
+    } else {
+        size_t s = slotOf(entry.pc);
+        while (slots_[s])
+            s = (s + 1) & mask_;
+        slots_[s] = uint32_t(entries_.size());
+    }
+    return entries_.back();
+}
+
+void
+InstDictionary::store(uint8_t *out) const
+{
+    std::vector<const DictEntry *> sorted;
+    sorted.reserve(entries_.size());
+    for (const DictEntry &e : entries_)
+        sorted.push_back(&e);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const DictEntry *a, const DictEntry *b) {
+                  return a->pc < b->pc;
+              });
+    Encoder e{out};
+    for (const DictEntry *entry : sorted) {
+        e.u32(entry->pc);
+        e.u8(entry->length);
+        encodeInst(e, entry->inst);
+    }
+}
+
+bool
+InstDictionary::load(const uint8_t *buf, size_t count, size_t *bad_entry)
+{
+    entries_.clear();
+    entries_.reserve(count);
+    Decoder d{buf};
+    for (size_t i = 0; i < count; ++i) {
+        DictEntry entry;
+        entry.pc = d.u32();
+        entry.length = d.u8();
+        decodeInst(d, entry.inst);
+        if (i > 0 && entry.pc <= entries_.back().pc) {
+            *bad_entry = i;
+            entries_.clear();
+            slots_.clear();
+            return false;
+        }
+        entries_.push_back(entry);
+    }
+    rehash(std::max<size_t>(64, std::bit_ceil(2 * count)));
+    return true;
 }
 
 // --------------------------------------------------------------------
@@ -196,11 +295,6 @@ ChunkEncoder::reset()
 {
     nextPc_ = 0;
     flags_ = 0;
-    if (++stamp_ == 0) {
-        // Stamp wrapped: entries from 2^32 chunks ago would look valid.
-        table_.fill(Entry{});
-        stamp_ = 1;
-    }
 }
 
 size_t
@@ -216,13 +310,16 @@ ChunkEncoder::encode(const TraceRecord &rec, uint8_t *out)
         return e.len;
     }
 
-    Entry &slot = table_[slotOf(rec.pc)];
-    const bool hit = slot.stamp == stamp_ && slot.pc == rec.pc &&
-                     slot.length == rec.length && slot.inst == rec.inst;
+    // The first instruction coded at a pc becomes its dictionary entry;
+    // only a different one at the same pc is coded inline.
+    const DictEntry &known =
+        dict_.insert(DictEntry{rec.pc, rec.length, rec.inst});
+    const bool in_dict =
+        known.length == rec.length && known.inst == rec.inst;
     uint8_t flags = 0;
     if (rec.pc != nextPc_)
         flags |= F_PC;
-    if (!hit)
+    if (!in_dict)
         flags |= F_INST;
     if (rec.nextPc != rec.pc + rec.length)
         flags |= F_NEXT;
@@ -237,10 +334,9 @@ ChunkEncoder::encode(const TraceRecord &rec, uint8_t *out)
                  rec.numFregWrites << 4));
     if (flags & F_PC)
         e.u32(rec.pc);
-    if (!hit) {
+    if (!in_dict) {
         e.u8(rec.length);
         encodeInst(e, rec.inst);
-        slot = Entry{rec.pc, stamp_, rec.length, rec.inst};
     }
     if (flags & F_NEXT)
         e.u32(rec.nextPc);
@@ -266,14 +362,13 @@ ChunkEncoder::encode(const TraceRecord &rec, uint8_t *out)
 }
 
 size_t
-ChunkDecoder::decodeOne(const uint8_t *p, TraceRecord *out, size_t i)
+ChunkDecoder::decodeOne(const uint8_t *p, TraceRecord &rec)
 {
     using namespace chunkcode;
     // Every optional field is loaded unconditionally and then selected,
     // so the per-record flag mix costs conditional moves, not branch
     // mispredictions: no load reaches past p + 80, well inside the
     // MAX_CODED_RECORD_BYTES the caller guarantees.
-    TraceRecord &rec = out[i];
     const uint8_t flags = p[0];
     if (flags & ~(F_PC | F_INST | F_NEXT | F_FLAGS | F_TAKEN |
                   F_WROTE_FLAGS)) {
@@ -297,20 +392,16 @@ ChunkDecoder::decodeOne(const uint8_t *p, TraceRecord *out, size_t i)
     const uint32_t pc = has_pc ? load32(p + pos) : nextPc_;
     pos += has_pc ? 4 : 0;
     rec.pc = pc;
-    // The table holds only where the pc was last decoded; a hit copies
-    // the instruction from that earlier output record.
-    Entry &slot = table_[slotOf(pc)];
     if (flags & F_INST) {
-        slot = Entry{pc, stamp_, uint32_t(i)};
         rec.length = p[pos];
         Decoder d{p + pos + 1};
         decodeInst(d, rec.inst);
         pos += 1 + d.pos;
-    } else if (slot.stamp == stamp_ && slot.pc == pc) {
-        rec.length = out[slot.index].length;
-        rec.inst = out[slot.index].inst;
+    } else if (const DictEntry *known = dict_.find(pc)) {
+        rec.length = known->length;
+        rec.inst = known->inst;
     } else {
-        return 0;   // a hit on an instruction this chunk never coded
+        return 0;   // a pc the container's dictionary does not hold
     }
 
     const bool has_next = flags & F_NEXT;
@@ -367,22 +458,18 @@ ChunkDecoder::decodeChunk(const uint8_t *buf, size_t len, TraceRecord *out,
 {
     nextPc_ = 0;
     flags_ = 0;
-    if (++stamp_ == 0) {
-        table_.fill(Entry{});
-        stamp_ = 1;
-    }
     size_t pos = 0;
     for (size_t i = 0; i < count; ++i) {
         const size_t avail = len - pos;
         size_t n;
         if (avail >= MAX_CODED_RECORD_BYTES) {
-            n = decodeOne(buf + pos, out, i);
+            n = decodeOne(buf + pos, out[i]);
         } else {
             // Near the end: decode from a zero-padded copy, so a
             // record cut short reads padding, not past the buffer.
             uint8_t tail[MAX_CODED_RECORD_BYTES] = {};
             std::memcpy(tail, buf + pos, avail);
-            n = decodeOne(tail, out, i);
+            n = decodeOne(tail, out[i]);
             if (n > avail)
                 return false;
         }

@@ -20,6 +20,8 @@
  * set REPLAY_SKIP_PERFGATE=1 to skip it (e.g. on loaded CI machines).
  */
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -175,9 +177,11 @@ void
 runIngestPass(const std::vector<trace::TraceRecord> &records,
               Measurement &m)
 {
+    // Named per process, so concurrent runs (an A/B of two builds)
+    // never overwrite each other's container.
     const std::string path =
         std::filesystem::temp_directory_path().string() +
-        "/perfgate_ingest.rpl3";
+        "/perfgate_ingest." + std::to_string(::getpid()) + ".rpl3";
     trace::V3Options opts;
     opts.codec = trace::V3Codec::RAW;
     {
